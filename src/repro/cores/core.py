@@ -9,6 +9,10 @@ to another window -- the runtime scheduling mechanism the paper models.
 Throttling controllers limit ``max_running_blocks``: windows beyond that count
 keep their in-flight requests but may not issue new work, which shrinks the
 core's active working set and its memory-request rate.
+
+A core whose tick changed nothing but a stall counter *parks*: its next tick
+would reach the same outcome, so the system loop charges that counter directly
+instead of ticking it (see :attr:`VectorCore.parked`).
 """
 
 from __future__ import annotations
@@ -52,6 +56,13 @@ class VectorCore:
         self.throttled = False
         self._rr_pointer = 0
         self._req_window: dict[int, int] = {}
+        #: Set after a tick that only charged ``stat_mem_stall_cycles`` (or
+        #: ``stat_idle_cycles`` when ``parked_idle``): until a wake event the
+        #: next tick would do the same, so the system loop charges the counter
+        #: in its place.  Cleared by :meth:`receive`, :meth:`set_max_running_blocks`
+        #: and :meth:`wake` (the NoC's back-pressure release).
+        self.parked = False
+        self.parked_idle = False
 
         # -- statistics (cumulative; controllers take period deltas) --------------------
         self.stat_issued_requests = 0
@@ -61,23 +72,25 @@ class VectorCore:
         self.stat_idle_cycles = 0          # C_idle: no thread block available to run
         self.stat_active_cycles = 0        # cycles with at least one issue
         self.stat_completed_blocks = 0
+        #: Back-pressured injection *attempts*; a parked core makes none, so this
+        #: is not a count of stalled cycles (and is not part of ``SimResult``).
         self.stat_backpressure_stalls = 0
-        self.stat_first_block_cycles = -1  # duration of the first completed block (LCS)
-        self._first_block_start = -1
 
     # ------------------------------------------------------------------------------
     # throttling interface
     # ------------------------------------------------------------------------------
     def set_max_running_blocks(self, value: int) -> None:
         self.max_running_blocks = max(1, min(self.config.num_inst_windows, value))
+        self.parked = False
 
     def adjust_max_running_blocks(self, delta: int) -> None:
         self.set_max_running_blocks(self.max_running_blocks + delta)
 
     # ------------------------------------------------------------------------------
-    # response delivery (from the interconnect)
+    # interconnect interface: response delivery and back-pressure wake-ups
     # ------------------------------------------------------------------------------
     def receive(self, resp: MemResponse, cycle: int) -> None:
+        self.parked = False
         window_id = self._req_window.pop(resp.req_id, None)
         if window_id is not None:
             window = self.windows[window_id]
@@ -86,11 +99,16 @@ class VectorCore:
         if resp.rw == AccessType.READ:
             self.l1.fill(self.l1.line_addr(resp.line_addr))
 
+    def wake(self) -> None:
+        """Unpark: an event may have changed the outcome of the next tick."""
+
+        self.parked = False
+
     # ------------------------------------------------------------------------------
     # per-cycle execution
     # ------------------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        self._retire_and_refill(cycle)
+        changed = self._retire_and_refill(cycle)
 
         # Select the running windows inline (the first ``max_running_blocks``
         # windows that hold a thread block); this is the hottest loop of the
@@ -105,6 +123,9 @@ class VectorCore:
                     break
         if not running:
             self.stat_idle_cycles += 1
+            if not changed:
+                self.parked = True
+                self.parked_idle = True
             return
 
         issued = 0
@@ -129,9 +150,17 @@ class VectorCore:
             self.stat_compute_cycles += 1
         else:
             self.stat_mem_stall_cycles += 1
+            if not changed:
+                # Only a response, a slice draining or a throttle change can
+                # alter the next tick: park until one of them happens.
+                self.parked = True
+                self.parked_idle = False
 
     # -- helpers ---------------------------------------------------------------------------
-    def _retire_and_refill(self, cycle: int) -> None:
+    def _retire_and_refill(self, cycle: int) -> bool:
+        """Retire drained blocks and refill one window; True if anything changed."""
+
+        retired = False
         busy = 0
         free_window: InstructionWindow | None = None
         for window in self.windows:
@@ -145,23 +174,21 @@ class VectorCore:
                 block = window.release()
                 self.stat_completed_blocks += 1
                 self.scheduler.notify_complete(block)
-                if self.stat_first_block_cycles < 0:
-                    self.stat_first_block_cycles = cycle - self._first_block_start
+                retired = True
                 if free_window is None:
                     free_window = window
             else:
                 busy += 1
         if free_window is None or busy >= self.max_running_blocks:
-            return
+            return retired
         # Refill at most one window per cycle (the global scheduler hands out one
         # thread block per core per cycle, striping consecutive blocks across
         # cores the way a GPU CTA dispatcher does).
         block = self.scheduler.next_block(self.core_id)
         if block is None:
-            return
+            return retired
         free_window.assign(block, cycle)
-        if self._first_block_start < 0:
-            self._first_block_start = cycle
+        return True
 
     def _try_issue(self, window: InstructionWindow, cycle: int) -> str:
         """Attempt one issue from ``window``; returns 'issued', 'compute' or 'memory'."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.trace.threadblock import ThreadBlock
 
@@ -25,8 +25,6 @@ class InstructionWindow:
     outstanding: int = 0
     compute_ready_cycle: int = 0
     compute_charged: bool = False
-    assigned_cycle: int = 0
-    stat_blocks_completed: int = 0
     #: A request already prepared (L1 probed, trace entry consumed) that could
     #: not be injected into the interconnect due to back-pressure; retried on
     #: later cycles without repeating the L1 probe.
@@ -38,7 +36,6 @@ class InstructionWindow:
         self.outstanding = 0
         self.compute_ready_cycle = cycle
         self.compute_charged = False
-        self.assigned_cycle = cycle
         self.pending_request = None
 
     @property
@@ -46,18 +43,6 @@ class InstructionWindow:
         """True while a thread block is assigned (running or draining)."""
 
         return self.tb is not None
-
-    @property
-    def exhausted(self) -> bool:
-        """All entries issued; the window is only draining outstanding requests."""
-
-        return self.tb is not None and self.cursor >= len(self.tb.entries)
-
-    @property
-    def drained(self) -> bool:
-        """The assigned thread block is completely finished."""
-
-        return self.exhausted and self.outstanding == 0
 
     def release(self) -> ThreadBlock:
         """Clear the window after its thread block drained."""
@@ -69,16 +54,5 @@ class InstructionWindow:
         self.outstanding = 0
         self.compute_charged = False
         self.pending_request = None
-        self.stat_blocks_completed += 1
         return finished
 
-
-@dataclass(slots=True)
-class WindowIssueResult:
-    """What happened when the core tried to issue from a window this cycle."""
-
-    issued: bool = False
-    blocked_on_compute: bool = False
-    blocked_on_memory: bool = False
-    completed_block: ThreadBlock | None = None
-    extra: dict = field(default_factory=dict)

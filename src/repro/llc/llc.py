@@ -100,7 +100,12 @@ class SlicedLLC:
     # -- per-cycle ---------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
         for llc_slice in self.slices:
-            llc_slice.tick(cycle)
+            if llc_slice.parked:
+                # Its tick would only fail the same MSHR reservation again.
+                llc_slice.busy_cycles += 1
+                llc_slice.stall_cycles += 1
+            else:
+                llc_slice.tick(cycle)
 
     # -- throttling-controller interfaces -----------------------------------------------
     def stall_cycles_total(self) -> int:

@@ -53,6 +53,8 @@ class MshrFile:
         self._entries: dict[int, MshrEntry] = {}
         self.allocations = 0
         self.merges = 0
+        #: Failed reservation *attempts*, not stalled cycles: a parked slice
+        #: stalls without retrying (see ``LLCSlice.parked``).  Not in ``SimResult``.
         self.merge_failures_full_targets = 0
         self.alloc_failures_full_entries = 0
         self._occupancy_integral = 0.0

@@ -19,6 +19,9 @@ DRAM returns (step 4/4') are pushed in by the simulator via
 :meth:`LLCSlice.on_dram_fill`: the MSHR entry is freed, every merged requester
 receives its data directly (it does not wait behind the response queue), and a
 copy enters the response queue for the later storage fill.
+
+A stalled slice with nothing else to do *parks* (see :attr:`LLCSlice.parked`):
+only a DRAM fill can change the MSHR state its reservation waits on.
 """
 
 from __future__ import annotations
@@ -79,6 +82,12 @@ class LLCSlice:
             config.hit_latency + config.mshr_latency + _PIPELINE_DEPTH_SLACK
         )
         self.stalled = False
+        #: Set after a tick whose only effect was a failed MSHR reservation with
+        #: no response, pending fill or DRAM backlog to serve: until
+        #: :meth:`on_dram_fill` frees MSHR state the next tick would do the
+        #: same, so :class:`~repro.llc.llc.SlicedLLC` charges ``busy_cycles`` and
+        #: ``stall_cycles`` in its place.
+        self.parked = False
 
         # -- statistics ---------------------------------------------------------------
         self.hits = 0
@@ -112,6 +121,7 @@ class LLCSlice:
     def on_dram_fill(self, line_addr: int, cycle: int) -> None:
         """A DRAM read for ``line_addr`` returned (Fig 4, steps 4 and 4')."""
 
+        self.parked = False
         entry = self.mshr.free(line_addr, cycle)
         dirty = False
         for target in entry.targets:
@@ -154,6 +164,8 @@ class LLCSlice:
             self._process_fill(cycle)
         elif not self.stalled:
             self._process_request(cycle)
+        elif not (self.response_queue or self._pending_fills or self._dram_backlog):
+            self.parked = True
 
     def _has_cycle_work(self) -> bool:
         return bool(

@@ -7,6 +7,11 @@ stalls cores), and (3) the response path back to the cores.  Responses are
 delivered with a fixed latency and are never back-pressured, matching the
 paper's assumption that DRAM returns are forwarded straight to the requesting
 cores (Fig 4, step 4').
+
+A slice's load only drops when :meth:`Interconnect.tick` moves one of its
+staged requests into the slice, so a core rejected by that slice cannot
+succeed before then: the interconnect remembers the rejected cores per slice
+and wakes them at that moment (see ``VectorCore.parked``).
 """
 
 from __future__ import annotations
@@ -47,25 +52,20 @@ class Interconnect:
         # Requests in transit or staged per slice, used for O(1) back-pressure checks.
         self._slice_load: list[int] = [0] * num_slices
         self._slice_load_limit = STAGING_DEPTH + config.request_latency
+        # Ids of the cores rejected per slice since its load last dropped.
+        self._rejected: list[list[int]] = [[] for _ in range(num_slices)]
         self._seq = 0
 
         # statistics
         self.requests_sent = 0
         self.responses_sent = 0
+        #: Rejected ``send_request`` *attempts*.  Parked cores make no attempts,
+        #: so this is not a count of back-pressured cycles (nor part of ``SimResult``).
         self.backpressure_rejects = 0
 
     # -- request path ------------------------------------------------------------------
     def slice_of(self, addr: int) -> int:
         return self.address_map.slice_of(addr)
-
-    def can_accept_request(self, addr: int) -> bool:
-        """True when a request to ``addr`` can be injected this cycle."""
-
-        slice_id = self.slice_of(addr)
-        if self._slice_load[slice_id] >= self._slice_load_limit:
-            self.backpressure_rejects += 1
-            return False
-        return True
 
     def send_request(self, req: MemRequest, cycle: int) -> bool:
         """Inject a request; returns False under back-pressure."""
@@ -73,6 +73,9 @@ class Interconnect:
         slice_id = self.address_map.slice_of(req.addr)
         if self._slice_load[slice_id] >= self._slice_load_limit:
             self.backpressure_rejects += 1
+            rejected = self._rejected[slice_id]
+            if req.core_id not in rejected:
+                rejected.append(req.core_id)
             return False
         deliver = cycle + self.config.request_latency
         heapq.heappush(self._req_in_flight, (deliver, self._seq, slice_id, req))
@@ -96,12 +99,15 @@ class Interconnect:
         cycle: int,
         slice_sinks: list[Callable[[MemRequest, int], bool]],
         core_sinks: list[Callable[[MemResponse, int], None]],
+        core_wakes: list[Callable[[], None]],
     ) -> None:
         """Deliver due requests into slices and due responses into cores.
 
         ``slice_sinks[i]`` pushes a request into slice ``i``'s request queue and
         returns False when that queue is full (the request then waits in the
-        staging queue); ``core_sinks[i]`` delivers a response to core ``i``.
+        staging queue); ``core_sinks[i]`` delivers a response to core ``i``;
+        ``core_wakes[i]`` tells core ``i`` that a slice which rejected it has
+        freed injection space.
         """
 
         # Requests whose transit delay elapsed move into the staging queues.
@@ -122,6 +128,11 @@ class Interconnect:
                 staging.popleft()
                 self._slice_load[slice_id] -= 1
                 accepted += 1
+            rejected = self._rejected[slice_id]
+            if accepted and rejected:
+                for core_id in rejected:
+                    core_wakes[core_id]()
+                rejected.clear()
 
         # Responses are never back-pressured.
         while self._resp_in_flight and self._resp_in_flight[0][0] <= cycle:

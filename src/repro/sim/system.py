@@ -69,6 +69,7 @@ class SimulatedSystem:
 
         self._slice_sinks = self.llc.slice_sinks()
         self._core_sinks = [core.receive for core in self.cores]
+        self._core_wakes = [core.wake for core in self.cores]
 
     # -- component glue ------------------------------------------------------------------
     def _response_sink(self, resp: MemResponse, cycle: int, extra_delay: int) -> None:
@@ -89,9 +90,15 @@ class SimulatedSystem:
                 self.llc.on_dram_fill(payload, line_addr, cycle)
 
         self.llc.tick(cycle)
-        self.noc.tick(cycle, self._slice_sinks, self._core_sinks)
+        self.noc.tick(cycle, self._slice_sinks, self._core_sinks, self._core_wakes)
+        # A parked core's tick would only charge the same stall counter again.
         for core in self.cores:
-            core.tick(cycle)
+            if not core.parked:
+                core.tick(cycle)
+            elif core.parked_idle:
+                core.stat_idle_cycles += 1
+            else:
+                core.stat_mem_stall_cycles += 1
         self.throttle.tick(cycle)
 
     # -- completion -----------------------------------------------------------------------------

@@ -15,13 +15,16 @@ class Harness:
             num_slices=num_slices,
         )
         self.accept = accept
+        self.refusing: set[int] = set()             # slices that refuse regardless
         self.delivered: list[list[MemRequest]] = [[] for _ in range(num_slices)]
         self.responses: list[list[MemResponse]] = [[], []]
+        self.wakes: list[tuple[int, int]] = []     # (cycle, core)
+        self.cycle = 0
 
     def slice_sinks(self):
         def make(i):
             def sink(req, cycle):
-                if not self.accept:
+                if not self.accept or i in self.refusing:
                     return False
                 self.delivered[i].append(req)
                 return True
@@ -31,9 +34,13 @@ class Harness:
     def core_sinks(self):
         return [lambda r, c, i=i: self.responses[i].append(r) for i in range(2)]
 
+    def core_wakes(self):
+        return [lambda i=i: self.wakes.append((self.cycle, i)) for i in range(2)]
+
     def run(self, cycles, start=0):
         for cycle in range(start, start + cycles):
-            self.noc.tick(cycle, self.slice_sinks(), self.core_sinks())
+            self.cycle = cycle
+            self.noc.tick(cycle, self.slice_sinks(), self.core_sinks(), self.core_wakes())
 
 
 def req(addr, core=0):
@@ -79,11 +86,59 @@ class TestRequestPath:
         for i in range(10):
             h.noc.send_request(req(0x0), i)
             h.run(1, start=i)
-        assert not h.noc.can_accept_request(0x0)
+        assert not h.noc.send_request(req(0x0), 10)
         h.accept = True
         h.run(10, start=10)
-        assert h.noc.can_accept_request(0x0)
+        assert h.noc.send_request(req(0x0), 20)
         assert len(h.delivered[0]) > 0
+
+    def test_rejected_query_is_counted_once_per_attempt(self):
+        h = Harness(latency=1, accept=False)
+        while h.noc.send_request(req(0x0), 0):
+            pass
+        assert h.noc.backpressure_rejects == 1
+        assert not h.noc.send_request(req(0x0), 0)
+        assert h.noc.backpressure_rejects == 2
+
+
+class TestBackpressureWakeups:
+    """A slice's load only drops in ``tick``; its rejected cores are woken then."""
+
+    def fill_slice0(self, h):
+        while h.noc.send_request(req(0x0), 0):
+            pass
+
+    def test_rejected_core_woken_when_its_slice_drains(self):
+        h = Harness(latency=1, accept=False)
+        self.fill_slice0(h)                            # core 0 is the rejecter
+        h.run(5)
+        assert h.wakes == []                           # slice 0 still refuses
+        h.accept = True
+        h.run(1, start=5)
+        assert h.wakes == [(5, 0)]
+        assert h.noc.send_request(req(0x0), 6)
+
+    def test_each_rejecter_woken_once(self):
+        h = Harness(latency=1, accept=False)
+        self.fill_slice0(h)
+        for core in (1, 1, 0):
+            assert not h.noc.send_request(req(0x0, core=core), 0)
+        h.accept = True
+        h.run(3)
+        assert sorted(core for _, core in h.wakes) == [0, 1]
+
+    def test_other_slice_draining_wakes_nobody(self):
+        h = Harness(latency=1, accept=False)
+        self.fill_slice0(h)
+        h.accept = True
+        h.refusing = {0}
+        assert h.noc.send_request(req(0x40, core=1), 0)
+        h.run(5)
+        assert len(h.delivered[1]) == 1                # slice 1 drained ...
+        assert h.wakes == []                           # ... but core 0 waits on slice 0
+        h.refusing = set()
+        h.run(1, start=5)
+        assert h.wakes == [(5, 0)]
 
 
 class TestResponsePath:
