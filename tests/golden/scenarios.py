@@ -27,6 +27,8 @@ GOLDEN_SCENARIOS = {
     "serve_smoke.json": lambda: golden_serve_scenario().run(),
     "serve_chunked_smoke.json": lambda: golden_serve_chunked_scenario().run(),
     "serve_decode_only_smoke.json": lambda: golden_serve_decode_only_scenario().run(),
+    "serve_kv_recompute_smoke.json": lambda: golden_serve_kv_scenario("recompute").run(),
+    "serve_kv_swap_smoke.json": lambda: golden_serve_kv_scenario("swap").run(),
     "cluster_smoke.json": lambda: golden_cluster_scenario().run(),
     "cluster_disaggregated_smoke.json": (
         lambda: golden_cluster_disaggregated_scenario().run()
@@ -68,6 +70,25 @@ def golden_serve_decode_only_scenario() -> ServeScenario:
 
     return replace(
         golden_serve_scenario(), scheduler="decode-first", prefill_cost=False
+    ).validate()
+
+
+def golden_serve_kv_scenario(preemption: str) -> ServeScenario:
+    """CI's KV smoke: ``llamcat serve --tier smoke --seed 0 --rate 4000
+    --num-requests 8 --max-batch 4 --kv-budget 1024 --kv-block 32
+    --preemption <preemption>``.
+
+    Pins the KV-on meta (``kv_memory_bound_s``, ``preemption_rate``, peak
+    utilization and fragmentation) of both preemption policies.
+    """
+
+    return replace(
+        golden_serve_scenario(),
+        rate=4000.0,
+        max_batch=4,
+        kv_budget=1024,
+        kv_block=32,
+        preemption=preemption,
     ).validate()
 
 
