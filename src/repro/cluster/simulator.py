@@ -1,22 +1,23 @@
 """The multi-replica serving simulator.
 
 :class:`ClusterSimulator` runs N accelerator replicas against one shared
-arrival stream.  Each replica is a full single-accelerator serving pipeline --
-its own :class:`~repro.serve.scheduler.ContinuousBatchScheduler`, step-planning
-policy and step-cost model -- while a pluggable
-:class:`~repro.cluster.router.Router` decides, at each request's arrival
-instant, which replica receives it.
+arrival stream.  Each replica is a :class:`~repro.serve.simulator.ReplicaSim`,
+the one implementation of a serving step (the single-accelerator
+:class:`~repro.serve.simulator.ServingSimulator` drives one too); this module
+adds only what a fleet needs on top of it: a pluggable
+:class:`~repro.cluster.router.Router` that picks, at each request's arrival
+instant, which replica receives it, prefill/decode handoffs, and one clock
+over all replicas.
 
 The event loop interleaves three event kinds on one clock:
 
 1. **arrival** -- the next request of the shared stream is routed (the router
    observes replica queues exactly as they stand at that instant) and
    enqueued on the chosen replica;
-2. **step end** -- a replica finishes one planned iteration: prompt chunks
-   shrink ``prefill_remaining``, every planned decode is credited a token,
-   finished requests are evicted (and reported to the arrival process, closing
-   the loop for closed-loop traffic), and the replica immediately re-forms its
-   batch and starts the next step;
+2. **step end** -- a replica finishes its in-flight step
+   (:meth:`~repro.serve.simulator.ReplicaSim.finish_step`), completions are
+   reported to the arrival process (closing the loop for closed-loop
+   traffic), and the replica immediately starts its next step;
 3. **handoff** -- in a *disaggregated* fleet, a request whose prompt finished
    on a prefill replica becomes admissible on a decode replica once its KV
    cache has been transferred (``kv_transfer_s`` later); the decode router
@@ -28,276 +29,77 @@ them into ``"prefill"`` replicas (running
 router) and ``"decode"`` replicas (fed exclusively by handoffs).
 
 Replicas advance independently between events -- a busy replica never blocks
-an idle one -- so the fleet behaves like N asynchronous serving loops glued
-together by the routers.  Determinism is preserved end to end: replicas are
-visited in index order, event ties resolve step-ends before same-instant
-arrivals, and both the arrival and handoff heaps order equal timestamps by
-request id, so a seeded run reproduces every routing decision and timestamp
-bit-for-bit.
+an idle one.  Determinism is preserved end to end: replicas are visited in
+index order, event ties resolve step-ends before same-instant arrivals, and
+both the arrival and handoff heaps order equal timestamps by request id, so a
+seeded run reproduces every routing decision and timestamp bit-for-bit.
 
 Homogeneous replicas share one memoized step-cost model (the cluster scenario
 builds one per *distinct* system preset), so a 16-replica fleet pays for the
 distinct ``(batch, seq-bucket)`` shapes it visits, not for 16 copies of them.
+
+``ReplicaSim``, ``plan_cycles`` and ``complete_step`` are re-exported here.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from repro.cluster.metrics import ClusterMetrics, ReplicaMetrics
 from repro.cluster.router import Router
 from repro.common.errors import ConfigError, LivelockError
 from repro.obs.telemetry import TelemetryRecorder
-from repro.obs.tracer import (
-    CAT_HANDOFF,
-    CAT_STEP,
-    NULL_TRACER,
-    Tracer,
-    trace_request,
-)
+from repro.obs.tracer import CAT_HANDOFF, NULL_TRACER, Tracer, trace_request
 from repro.serve.arrival import ArrivalProcess
-from repro.serve.metrics import RequestMetrics, ServeSLO
-from repro.serve.schedpolicy import (
-    DecodeFirstPolicy,
-    PrefillOnlyPolicy,
-    SchedulerPolicy,
-    StepPlan,
-)
-from repro.serve.scheduler import (
-    ActiveRequest,
-    BatchConfig,
-    ContinuousBatchScheduler,
-    HandoffRequest,
-    bucket_context,
-)
+from repro.serve.metrics import ServeSLO
+from repro.serve.scheduler import ActiveRequest, HandoffRequest
 from repro.serve.simulator import (
     MAX_STEPS,
+    ReplicaSim,
     build_serve_stall_report,
     complete_step,
     plan_cycles,
 )
-from repro.serve.stepcost import StepCostModel
 
-#: The replica roles a fleet may mix: every colocated replica is "mixed";
-#: a disaggregated fleet is partitioned into "prefill" and "decode".
-REPLICA_ROLES = ("mixed", "prefill", "decode")
+__all__ = [
+    "ClusterSimulator",
+    "ReplicaSim",
+    "complete_step",
+    "plan_cycles",
+]
 
 logger = logging.getLogger(__name__)
 
 
-class ReplicaSim:
-    """One accelerator replica: a scheduler, a step planner, a cost model, a clock.
+def _replica_metrics(replica: ReplicaSim) -> ReplicaMetrics:
+    """The :class:`ReplicaMetrics` of one replica after a fleet run."""
 
-    Exposes the two load signals routers read (``queue_depth``,
-    ``outstanding``) and accumulates the counters that become its
-    :class:`~repro.cluster.metrics.ReplicaMetrics`.  ``role`` tags the
-    replica's place in a disaggregated fleet; a ``"prefill"`` replica evicts
-    each request the moment its prompt completes and surfaces it through
-    :meth:`take_handoffs` for the cluster loop to transfer.
-    """
+    return ReplicaMetrics(
+        replica_id=replica.replica_id,
+        system=replica.system_name,
+        frequency_ghz=replica.frequency_ghz,
+        steps=replica.steps,
+        total_cycles=replica.total_cycles,
+        busy_s=replica.busy_s,
+        routed=replica.routed,
+        handoffs=replica.handoffs,
+        role=replica.role,
+        requests=tuple(sorted(replica.completed, key=lambda r: r.request_id)),
+    ).validate()
 
-    def __init__(
-        self,
-        replica_id: int,
-        cost_model: StepCostModel,
-        frequency_ghz: float,
-        batch: BatchConfig | None = None,
-        system_name: str = "system",
-        role: str = "mixed",
-        policy: SchedulerPolicy | None = None,
-    ) -> None:
-        if frequency_ghz <= 0:
-            raise ConfigError(f"frequency_ghz must be positive, got {frequency_ghz}")
-        if role not in REPLICA_ROLES:
-            raise ConfigError(
-                f"replica role must be one of {REPLICA_ROLES}, got {role!r}"
-            )
-        self.replica_id = replica_id
-        self.cost_model = cost_model
-        self.frequency_ghz = frequency_ghz
-        self.system_name = system_name
-        self.role = role
-        if policy is not None:
-            self.policy = policy
-        else:
-            self.policy = PrefillOnlyPolicy() if role == "prefill" else DecodeFirstPolicy()
-        self.scheduler = ContinuousBatchScheduler(
-            config=(batch if batch is not None else BatchConfig()).validate()
+
+def _stall(replicas: Sequence[ReplicaSim], reason: str, now_s: float) -> NoReturn:
+    """Raise a LivelockError carrying one stall report per listed replica."""
+
+    reports = [
+        build_serve_stall_report(
+            r.scheduler, reason, now_s, r.steps, len(r.completed), replica_id=r.replica_id
         )
-        #: End time of the in-flight step; None while idle.
-        self.step_end_s: float | None = None
-        #: The in-flight step's plan (set exactly while ``step_end_s`` is).
-        self._plan: StepPlan | None = None
-        #: Prefill-complete requests awaiting pickup by the cluster loop.
-        self._ready_handoffs: list[ActiveRequest] = []
-        self.steps = 0
-        self.total_cycles = 0
-        self.busy_s = 0.0
-        #: Busy time spent with admission stalled on KV memory (or funding
-        #: decode growth through preemption) -- the memory-bound signal.
-        self.mem_bound_s = 0.0
-        self.routed = 0
-        self.handoffs = 0
-        self.completed: list[RequestMetrics] = []
-        #: Observability sinks, installed by :meth:`ClusterSimulator.run`
-        #: (the null defaults keep standalone replicas zero-overhead).
-        self.tracer: Tracer = NULL_TRACER
-        self.recorder: TelemetryRecorder | None = None
-        self.probe = None
-
-    # -- load signals (read by routers) ------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return self.step_end_s is not None
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests routed here but not yet admitted into the batch."""
-
-        return len(self.scheduler.waiting)
-
-    @property
-    def outstanding(self) -> int:
-        """Queued plus running requests (issued minus completed)."""
-
-        return len(self.scheduler.waiting) + len(self.scheduler.running)
-
-    @property
-    def has_work(self) -> bool:
-        return self.scheduler.has_work
-
-    # -- event-loop hooks --------------------------------------------------------------
-    def enqueue(self, request) -> None:
-        self.routed += 1
-        self.scheduler.enqueue(request)
-
-    def _harvest_handoffs(self) -> None:
-        """Evict prefill-complete requests (prefill replicas only)."""
-
-        if self.role != "prefill":
-            return
-        done = [a for a in self.scheduler.running if not a.in_prefill]
-        if done:
-            self.scheduler.running = [a for a in self.scheduler.running if a.in_prefill]
-            for active in done:
-                # The KV pages travel with the request; this replica's copy is
-                # freed the moment the transfer is initiated.
-                self.scheduler.release_kv(active)
-            self.handoffs += len(done)
-            self._ready_handoffs.extend(done)
-
-    def take_handoffs(self) -> list[ActiveRequest]:
-        """Drain the requests whose prompt completed since the last call."""
-
-        out, self._ready_handoffs = self._ready_handoffs, []
-        return out
-
-    def maybe_start_step(self, now_s: float) -> bool:
-        """Admit waiting requests and launch one planned iteration.
-
-        Zero-cost plans (free prefill) are applied instantly without consuming
-        a step, exactly like the single-accelerator loop; the replica then
-        re-plans against the updated batch.
-        """
-
-        if self.busy:
-            return False
-        while True:
-            self.scheduler.admit(now_s)
-            if not self.scheduler.running:
-                if self.recorder is not None:
-                    self.recorder.observe(self.replica_id, now_s, self.queue_depth, 0)
-                return False
-            preempted = self.scheduler.ensure_kv_growth(now_s)
-            plan = self.policy.plan(self.scheduler.running)
-            cycles = plan_cycles(
-                self.cost_model, plan, self.scheduler.config.seq_bucket_floor
-            )
-            if cycles < 0:
-                raise ConfigError(f"step cost model returned {cycles} cycles")
-            if cycles == 0:
-                if plan.decode:
-                    raise ConfigError("step cost model priced a decode step at 0 cycles")
-                complete_step(self.scheduler, plan, now_s)
-                self._harvest_handoffs()
-                continue
-            self.steps += 1
-            self.total_cycles += cycles
-            if self.probe is not None:
-                self.probe.record_step(
-                    replica_id=self.replica_id,
-                    step=self.steps,
-                    start_s=now_s,
-                    scheduler=self.scheduler,
-                    plan=plan,
-                    cycles=cycles,
-                )
-            duration_s = cycles / (self.frequency_ghz * 1e9)
-            self.busy_s += duration_s
-            if self.scheduler.kv_blocked or preempted:
-                self.mem_bound_s += duration_s
-            self.step_end_s = now_s + duration_s
-            self._plan = plan
-            # The step's span is fully known at launch, so both sinks record
-            # here; completion only applies the plan.
-            if self.tracer.enabled:
-                args = plan.trace_args()
-                args["cycles"] = cycles
-                if plan.decode:
-                    args["seq_bucket"] = bucket_context(
-                        plan.decode_context(), self.scheduler.config.seq_bucket_floor
-                    )
-                self.tracer.complete(
-                    "step", CAT_STEP, self.replica_id, 0, now_s, self.step_end_s,
-                    args=args,
-                )
-            if self.recorder is not None:
-                self.recorder.on_step(
-                    self.replica_id,
-                    now_s,
-                    self.step_end_s,
-                    self.queue_depth,
-                    len(self.scheduler.running),
-                    len(plan.decode),
-                )
-            return True
-
-    def finish_step(self) -> list:
-        """Complete the in-flight iteration via the shared step-completion path.
-
-        Returns the evicted (decode-finished)
-        :class:`~repro.serve.scheduler.ActiveRequest` objects so the cluster
-        loop can feed completions back into the arrival process; prefill
-        completions are harvested separately through :meth:`take_handoffs`.
-        """
-
-        assert self.step_end_s is not None and self._plan is not None
-        end_s = self.step_end_s
-        plan = self._plan
-        self.step_end_s = None
-        self._plan = None
-        finished = []
-        for active, record in complete_step(self.scheduler, plan, end_s):
-            self.completed.append(record)
-            finished.append(active)
-        self._harvest_handoffs()
-        return finished
-
-    def metrics(self) -> ReplicaMetrics:
-        return ReplicaMetrics(
-            replica_id=self.replica_id,
-            system=self.system_name,
-            frequency_ghz=self.frequency_ghz,
-            steps=self.steps,
-            total_cycles=self.total_cycles,
-            busy_s=self.busy_s,
-            routed=self.routed,
-            handoffs=self.handoffs,
-            role=self.role,
-            requests=tuple(sorted(self.completed, key=lambda r: r.request_id)),
-        ).validate()
+        for r in replicas
+    ]
+    raise LivelockError("\n".join(report.render() for report in reports), report=reports[0])
 
 
 class ClusterSimulator:
@@ -506,21 +308,7 @@ class ClusterSimulator:
                     # replica refused admission into an empty batch (a full-KV
                     # stall).  Raise a structured report instead of silently
                     # dropping the queued requests.
-                    reports = [
-                        build_serve_stall_report(
-                            r.scheduler,
-                            "admission blocked with an empty batch",
-                            now_s,
-                            r.steps,
-                            len(r.completed),
-                            replica_id=r.replica_id,
-                        )
-                        for r in stuck
-                    ]
-                    raise LivelockError(
-                        "\n".join(report.render() for report in reports),
-                        report=reports[0],
-                    )
+                    _stall(stuck, "admission blocked with an empty batch", now_s)
                 break  # fleet drained and the stream is exhausted
 
             # Runaway guard, checked only while work remains so a run that
@@ -528,30 +316,16 @@ class ClusterSimulator:
             # the single-accelerator step budget (the fleet cap scales with
             # its size, matching ServingSimulator per replica).
             fleet_steps = sum(replica.steps for replica in self.replicas)
-            if fleet_steps >= MAX_STEPS * len(self.replicas):
-                reports = [
-                    build_serve_stall_report(
-                        r.scheduler,
-                        f"fleet exceeded {MAX_STEPS * len(self.replicas)} steps "
-                        f"without draining",
-                        now_s,
-                        r.steps,
-                        len(r.completed),
-                        replica_id=r.replica_id,
-                    )
-                    for r in self.replicas
-                ]
-                raise LivelockError(
-                    "\n".join(report.render() for report in reports),
-                    report=reports[0],
-                )
+            budget = MAX_STEPS * len(self.replicas)
+            if fleet_steps >= budget:
+                _stall(self.replicas, f"fleet exceeded {budget} steps without draining", now_s)
             now_s = min(event_times)
 
             # Step-ends resolve before same-instant arrivals, so a request
             # arriving exactly as a batch slot frees observes the freed slot.
             for replica in self.replicas:
                 if replica.step_end_s is not None and replica.step_end_s <= now_s:
-                    for active in replica.finish_step():
+                    for active, _ in replica.finish_step():
                         follow_up = self.arrival.on_complete(active.request, now_s)
                         if follow_up is not None:
                             follow_up = follow_up.validate()
@@ -561,16 +335,16 @@ class ClusterSimulator:
                             )
             collect_handoffs(now_s)
 
-        replica_metrics = tuple(replica.metrics() for replica in self.replicas)
+        replicas = tuple(_replica_metrics(replica) for replica in self.replicas)
         if tracer.enabled:
             # Lifecycle spans per completed request, in (replica, id) order --
             # trace viewers sort by timestamp, so emission order only needs to
             # be deterministic, not chronological.
-            for replica in replica_metrics:
+            for replica in replicas:
                 for record in replica.requests:
                     trace_request(tracer, record, requests_pid)
         last_finish_s = max(
-            (r.finish_s for replica in replica_metrics for r in replica.requests),
+            (r.finish_s for replica in replicas for r in replica.requests),
             default=first_arrival_s,
         )
         meta = {
@@ -617,7 +391,7 @@ class ClusterSimulator:
             "cluster run [%s]: %d replicas, %d requests, step_cost=%s",
             self.label,
             len(self.replicas),
-            sum(len(r.requests) for r in replica_metrics),
+            sum(len(r.requests) for r in replicas),
             self.profile["step_cost"],
         )
         telemetry = (
@@ -628,8 +402,9 @@ class ClusterSimulator:
             workload=self.workload_name,
             router=self.router_name,
             duration_s=max(0.0, last_finish_s - first_arrival_s),
-            replicas=replica_metrics,
+            replicas=replicas,
             slo=self.slo,
             meta=meta,
             telemetry=telemetry,
         )
+
