@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run a policy x cache-size grid through the parallel sweep executor.
 
-Demonstrates the ``repro.sweep`` subsystem: a declarative :class:`SweepSpec`
-expands into content-hashed points, ``run_sweep`` fans them out over worker
-processes, and the JSON-lines :class:`ResultStore` makes re-runs near-instant
-(only missing points are simulated -- try running this script twice).
+Demonstrates the ``repro.sweep`` subsystem: a :class:`Grid` over the fields of
+one :class:`~repro.api.Scenario` expands into content-hashed points,
+``run_sweep`` fans them out over worker processes, and the JSON-lines
+:class:`ResultStore` makes re-runs near-instant (only missing points are
+simulated -- try running this script twice).
 
 Usage::
 
@@ -15,8 +16,12 @@ from __future__ import annotations
 
 import argparse
 
+from repro.api import Scenario
 from repro.config.scale import ScaleTier
-from repro.sweep import ResultStore, SweepSpec, run_sweep
+from repro.sweep import Grid, ResultStore, run_sweep
+
+POLICIES = ("unopt", "dynmg", "dynmg+BMA")
+L2_MIB = (16, 32, 64)
 
 
 def main() -> None:
@@ -29,18 +34,15 @@ def main() -> None:
     parser.add_argument("--store", default=None, help="JSONL store path (resumable)")
     args = parser.parse_args()
 
-    spec = SweepSpec(
-        models=(args.model,),
-        seq_lens=(args.seq_len,),
-        policies=("unopt", "dynmg", "dynmg+BMA"),
-        l2_mib=(16, 32, 64),
-        tier=ScaleTier[args.tier.upper()],
-    ).validate()
-    print(f"expanding {spec.num_points} points, jobs={args.jobs}")
+    base = Scenario(
+        workload=args.model, seq_len=args.seq_len, tier=ScaleTier[args.tier.upper()]
+    )
+    grid = Grid(base, (("l2_mib", L2_MIB), ("policy", POLICIES))).validate()
+    print(f"expanding {grid.num_points} points, jobs={args.jobs}")
 
     store = ResultStore(args.store) if args.store else None
     report = run_sweep(
-        spec,
+        grid,
         jobs=args.jobs,
         store=store,
         progress=lambda done, total, o: print(
@@ -52,13 +54,13 @@ def main() -> None:
     print(report.summary())
 
     # Normalise each cell against unopt at the same capacity.
-    points = spec.expand()
+    points = grid.expand()
     unopt = {
         p.coord("l2_mib"): report.result_for(p).cycles
         for p in points if p.coord("policy") == "unopt"
     }
-    print(f"\n{'policy':<12}" + "".join(f"{m}MB".rjust(10) for m in spec.l2_mib))
-    for label in spec.policies:
+    print(f"\n{'policy':<12}" + "".join(f"{m}MB".rjust(10) for m in L2_MIB))
+    for label in POLICIES:
         cells = [
             unopt[p.coord("l2_mib")] / report.result_for(p).cycles
             for p in points if p.coord("policy") == label

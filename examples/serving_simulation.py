@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Sweep a Poisson request stream over arrival rates with `repro.serve`.
 
-Demonstrates the serving subsystem: a :class:`ServeSweepSpec` expands a grid of
-serving points (one per arrival rate), ``run_sweep`` fans them out over worker
-processes, and each point simulates continuous batching on top of the
-cycle-accurate engine -- per-step costs come from a memoized table of
-(batch, seq-bucket) cycle-engine runs, so thousands of serving steps cost only
-a handful of simulations.  The printed table shows the classic open-loop
-queueing behaviour: throughput rises with offered load while tail latency
-degrades.
+Demonstrates the serving subsystem: a :class:`Grid` over the ``rate`` field of
+one :class:`ServeScenario` expands into serving points (one per arrival rate),
+``run_sweep`` fans them out over worker processes, and each point simulates
+continuous batching on top of the cycle-accurate engine -- per-step costs come
+from a memoized table of (batch, seq-bucket) cycle-engine runs, so thousands
+of serving steps cost only a handful of simulations.  The printed table shows
+the classic open-loop queueing behaviour: throughput rises with offered load
+while tail latency degrades.
 
 Usage::
 
@@ -20,8 +20,8 @@ from __future__ import annotations
 import argparse
 
 from repro.config.scale import ScaleTier
-from repro.serve import ServeSweepSpec
-from repro.sweep import ResultStore, run_sweep
+from repro.serve import ServeScenario
+from repro.sweep import Grid, ResultStore, run_sweep
 
 
 def main() -> None:
@@ -38,17 +38,17 @@ def main() -> None:
     parser.add_argument("--store", default=None, help="JSONL store path (resumable)")
     args = parser.parse_args()
 
-    spec = ServeSweepSpec(
-        workloads=(args.workload,),
-        arrivals=(args.arrival,),
-        rates=tuple(args.rates),
+    base = ServeScenario(
+        workload=args.workload,
+        arrival=args.arrival,
         num_requests=args.num_requests,
         max_batch=args.max_batch,
         tier=ScaleTier[args.tier.upper()],
         slo_latency_ms=1.0,
-    ).validate()
-    points = spec.expand()
-    print(f"serving {spec.num_points} points ({args.arrival} x {args.rates}), "
+    )
+    grid = Grid(base, (("rate", tuple(args.rates)),)).validate()
+    points = grid.expand()
+    print(f"serving {grid.num_points} points ({args.arrival} x {args.rates}), "
           f"jobs={args.jobs}")
 
     store = ResultStore(args.store) if args.store else None
@@ -69,7 +69,7 @@ def main() -> None:
     for point in points:
         m = report.result_for(point)
         print(
-            f"{point.coord('rate'):>8g} {m.latency_percentile_ms(50):>9.3f} "
+            f"{point.scenario.rate:>8g} {m.latency_percentile_ms(50):>9.3f} "
             f"{m.latency_percentile_ms(95):>9.3f} {m.latency_percentile_ms(99):>9.3f} "
             f"{m.ttft_percentile_ms(95):>9.3f} {m.tokens_per_s:>10.0f} "
             f"{m.slo_attainment:>6.0%}"

@@ -383,7 +383,7 @@ def scenario_matrix(
     """Cartesian helper: one Scenario per (workload, policy) pair.
 
     ``base`` supplies the shared knobs (tier, seq_len, ...); ``overrides`` are
-    applied on top.  Useful for ad-hoc grids without a full SweepSpec.
+    applied on top.  Useful for ad-hoc grids without a full :class:`~repro.sweep.spec.Grid`.
     """
 
     template = base if base is not None else Scenario(workload="llama3-70b")

@@ -60,7 +60,6 @@ from repro.bench.trend import (
     validate_trends,
 )
 from repro.cluster.scenario import ClusterScenario, parse_disaggregated
-from repro.cluster.sweep import ClusterSweepSpec
 from repro.common.errors import ConfigError, LivelockError
 from repro.config.presets import FIG9_L2_MIB, FIG9_SEQ_LEN
 from repro.config.scale import parse_tier
@@ -86,9 +85,8 @@ from repro.serve.kvcache import DEFAULT_SWAP_MS
 from repro.serve.metrics import REPORTED_PERCENTILES
 from repro.serve.scenario import DEFAULT_SCHEDULER, ServeScenario
 from repro.serve.schedpolicy import DEFAULT_PREFILL_CHUNK
-from repro.serve.sweep import ServeSweepSpec
 from repro.sweep.executor import run_sweep
-from repro.sweep.spec import FIG9_POLICY_LABELS, SweepSpec
+from repro.sweep.spec import FIG9_POLICY_LABELS, Grid
 from repro.sweep.store import ResultStore
 
 #: ``llamcat list <what>`` -> registry.
@@ -782,38 +780,14 @@ def _point_progress(done: int, total: int, outcome, detail: str = "") -> None:
     )
 
 
-def _run_cluster_sweep_command(args: argparse.Namespace) -> int:
-    _validate_jobs(args.jobs)
-    spec = ClusterSweepSpec(
-        workloads=tuple(args.models or ("llama3-70b",)),
-        rates=tuple(args.rates or SERVE_SWEEP_RATES),
-        replica_counts=tuple(args.replica_counts or CLUSTER_SWEEP_REPLICAS),
-        routers=tuple(args.routers or ("round-robin",)),
-        arrivals=tuple(args.arrivals or ("poisson",)),
-        schedulers=tuple(args.schedulers or (DEFAULT_SCHEDULER,)),
-        prefill_chunks=tuple(args.prefill_chunks or (DEFAULT_PREFILL_CHUNK,)),
-        policies=tuple(args.policies or ("unopt",)),
-        kv_budgets=tuple(args.kv_budgets or (None,)),
-        kv_blocks=tuple(args.kv_blocks or (1,)),
-        preemptions=tuple(args.preemptions or ("recompute",)),
-        kv_swap_ms=args.kv_swap_ms,
-        num_requests=args.num_requests,
-        max_batch=args.max_batch,
-        seed=args.seed,
-        tier=parse_tier(args.tier),
-        max_cycles=args.max_cycles,
-        telemetry_ms=args.telemetry,
-    ).validate()
+def _run_grid(args: argparse.Namespace, title: str, grid: Grid, progress):
+    """Print the grid's shape, then run it against the optional result store."""
 
-    points = spec.expand()
+    points = grid.expand()
+    shape = " x ".join(f"{len(values)} {name}" for name, values in grid.axes)
     print(
-        f"cluster sweep: {len(points)} points = {len(spec.workloads)} workloads x "
-        f"{len(spec.arrivals)} arrivals x {len(spec.rates)} rates x "
-        f"{len(spec.replica_counts)} fleet sizes x {len(spec.routers)} routers x "
-        f"{len(spec.schedulers)} schedulers x {len(spec.prefill_chunks)} chunks x "
-        f"{len(spec.policies)} policies x {len(spec.kv_budgets)} KV budgets x "
-        f"{len(spec.kv_blocks)} KV blocks x {len(spec.preemptions)} preemptions "
-        f"(tier={spec.tier.name}, jobs={args.jobs})"
+        f"{title}: {len(points)} points = {shape} "
+        f"(tier={grid.base.tier.name}, jobs={args.jobs})"
     )
     store = ResultStore(args.store) if args.store else None
     if store is not None and store.completed_count:
@@ -823,122 +797,89 @@ def _run_cluster_sweep_command(args: argparse.Namespace) -> int:
         points,
         jobs=args.jobs,
         store=store,
-        progress=None if args.quiet else _point_progress,
+        progress=None if args.quiet else progress,
         force=args.force,
     )
     logger.debug("sweep profile: %s", report.profile())
+    return report
 
-    rows = []
-    for outcome in report.outcomes:
-        point = outcome.point
-        row = {
-            "model": point.coord("model"),
-            "rate": point.coord("rate"),
-            "replicas": point.coord("replicas"),
-            "router": point.coord("router"),
-            "scheduler": point.coord("scheduler"),
-        }
-        if outcome.ok:
-            metrics = outcome.result
-            row.update(
-                {
-                    "p50_ms": metrics.latency_percentile_ms(50),
-                    "p99_ms": metrics.latency_percentile_ms(99),
-                    "tokens_per_s": metrics.tokens_per_s,
-                    "imbalance": metrics.load_imbalance,
-                    "slo": metrics.slo_attainment,
-                }
-            )
-        else:
-            row.update(
-                {"p50_ms": "FAILED", "p99_ms": "-", "tokens_per_s": "-",
-                 "imbalance": "-", "slo": "-"}
-            )
-        rows.append(row)
+
+def _print_grid_results(title: str, rows: list[dict], report) -> int:
     print()
-    print(format_grid(f"cluster sweep results (tier={spec.tier.name})", rows))
+    print(format_grid(title, rows))
     print(report.summary())
     for failure in report.failures:
         print(f"FAILED {failure.point.describe()}:\n{failure.error}")
     return 1 if report.failures else 0
 
 
-def _run_serve_sweep_command(args: argparse.Namespace) -> int:
+def _run_serving_sweep_command(args: argparse.Namespace) -> int:
+    """``sweep --serve`` / ``sweep --cluster``: one grid over a serving scenario."""
+
     _validate_jobs(args.jobs)
-    spec = ServeSweepSpec(
-        workloads=tuple(args.models or ("llama3-70b",)),
-        rates=tuple(args.rates or SERVE_SWEEP_RATES),
-        arrivals=tuple(args.arrivals or ("poisson",)),
-        schedulers=tuple(args.schedulers or (DEFAULT_SCHEDULER,)),
-        prefill_chunks=tuple(args.prefill_chunks or (DEFAULT_PREFILL_CHUNK,)),
-        policies=tuple(args.policies or ("unopt",)),
-        kv_budgets=tuple(args.kv_budgets or (None,)),
-        kv_blocks=tuple(args.kv_blocks or (1,)),
-        preemptions=tuple(args.preemptions or ("recompute",)),
-        kv_swap_ms=args.kv_swap_ms,
-        num_requests=args.num_requests,
-        max_batch=args.max_batch,
-        seed=args.seed,
-        tier=parse_tier(args.tier),
-        max_cycles=args.max_cycles,
-        telemetry_ms=args.telemetry,
-    ).validate()
-
-    points = spec.expand()
-    print(
-        f"serve sweep: {len(points)} points = {len(spec.workloads)} workloads x "
-        f"{len(spec.arrivals)} arrivals x {len(spec.rates)} rates x "
-        f"{len(spec.schedulers)} schedulers x {len(spec.prefill_chunks)} chunks x "
-        f"{len(spec.policies)} policies x {len(spec.kv_budgets)} KV budgets x "
-        f"{len(spec.kv_blocks)} KV blocks x {len(spec.preemptions)} preemptions "
-        f"(tier={spec.tier.name}, jobs={args.jobs})"
+    knobs = {
+        "num_requests": args.num_requests,
+        "max_batch": args.max_batch,
+        "seed": args.seed,
+        "tier": parse_tier(args.tier),
+        "max_cycles": args.max_cycles,
+        "telemetry_ms": args.telemetry,
+        "kv_swap_ms": args.kv_swap_ms,
+    }
+    base: ServeScenario | ClusterScenario
+    if args.cluster:
+        base = ClusterScenario(workload="llama3-70b", **knobs)
+        fleet_axes: tuple = (
+            ("replicas", tuple(args.replica_counts or CLUSTER_SWEEP_REPLICAS)),
+            ("router", tuple(args.routers or ("round-robin",))),
+        )
+        columns = ("rate", "replicas", "router", "scheduler")
+        metrics = {
+            "p50_ms": lambda m: m.latency_percentile_ms(50),
+            "p99_ms": lambda m: m.latency_percentile_ms(99),
+            "tokens_per_s": lambda m: m.tokens_per_s,
+            "imbalance": lambda m: m.load_imbalance,
+            "slo": lambda m: m.slo_attainment,
+        }
+    else:
+        base = ServeScenario(workload="llama3-70b", **knobs)
+        fleet_axes = ()
+        columns = ("arrival", "rate", "scheduler", "policy")
+        metrics = {
+            "p50_ms": lambda m: m.latency_percentile_ms(50),
+            "p95_ms": lambda m: m.latency_percentile_ms(95),
+            "p99_ms": lambda m: m.latency_percentile_ms(99),
+            "tokens_per_s": lambda m: m.tokens_per_s,
+            "slo": lambda m: m.slo_attainment,
+        }
+    grid = Grid(
+        base,
+        (
+            ("workload", tuple(args.models or ("llama3-70b",))),
+            ("arrival", tuple(args.arrivals or ("poisson",))),
+            ("rate", tuple(args.rates or SERVE_SWEEP_RATES)),
+            *fleet_axes,
+            ("scheduler", tuple(args.schedulers or (DEFAULT_SCHEDULER,))),
+            ("prefill_chunk", tuple(args.prefill_chunks or (DEFAULT_PREFILL_CHUNK,))),
+            ("policy", tuple(args.policies or ("unopt",))),
+            ("kv_budget", tuple(args.kv_budgets or (None,))),
+            ("kv_block", tuple(args.kv_blocks or (1,))),
+            ("preemption", tuple(args.preemptions or ("recompute",))),
+        ),
     )
-    store = ResultStore(args.store) if args.store else None
-    if store is not None and store.completed_count:
-        print(f"store: {store.path} ({store.completed_count} completed points on disk)")
-
-    report = run_sweep(
-        points,
-        jobs=args.jobs,
-        store=store,
-        progress=None if args.quiet else _point_progress,
-        force=args.force,
-    )
-    logger.debug("sweep profile: %s", report.profile())
+    report = _run_grid(args, f"{base.kind} sweep", grid, _point_progress)
 
     rows = []
     for outcome in report.outcomes:
-        point = outcome.point
-        row = {
-            "model": point.coord("model"),
-            "arrival": point.coord("arrival"),
-            "rate": point.coord("rate"),
-            "scheduler": point.coord("scheduler"),
-            "policy": point.coord("policy"),
-        }
+        scenario = outcome.point.scenario
+        row = {"model": scenario.workload} | {c: getattr(scenario, c) for c in columns}
         if outcome.ok:
-            metrics = outcome.result
-            row.update(
-                {
-                    "p50_ms": metrics.latency_percentile_ms(50),
-                    "p95_ms": metrics.latency_percentile_ms(95),
-                    "p99_ms": metrics.latency_percentile_ms(99),
-                    "tokens_per_s": metrics.tokens_per_s,
-                    "slo": metrics.slo_attainment,
-                }
-            )
+            row |= {name: value(outcome.result) for name, value in metrics.items()}
         else:
-            row.update(
-                {"p50_ms": "FAILED", "p95_ms": "-", "p99_ms": "-",
-                 "tokens_per_s": "-", "slo": "-"}
-            )
+            row |= dict.fromkeys(metrics, "-") | {"p50_ms": "FAILED"}
         rows.append(row)
-    print()
-    print(format_grid(f"serve sweep results (tier={spec.tier.name})", rows))
-    print(report.summary())
-    for failure in report.failures:
-        print(f"FAILED {failure.point.describe()}:\n{failure.error}")
-    return 1 if report.failures else 0
+    title = f"{base.kind} sweep results (tier={base.tier.name})"
+    return _print_grid_results(title, rows, report)
 
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
@@ -971,46 +912,30 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             "--telemetry samples serving-time series; pass --serve or "
             "--cluster to sweep serving points"
         )
-    if args.cluster:
-        return _run_cluster_sweep_command(args)
-    if args.serve:
-        return _run_serve_sweep_command(args)
+    if args.serve or args.cluster:
+        return _run_serving_sweep_command(args)
     _validate_jobs(args.jobs)
-    spec = SweepSpec(
-        models=tuple(args.models or ("llama3-70b", "llama3-405b")),
-        seq_lens=tuple(args.seq_lens or (FIG9_SEQ_LEN,)),
-        policies=tuple(args.policies or FIG9_POLICY_LABELS),
-        l2_mib=tuple(args.l2_mib or FIG9_L2_MIB),
-        tier=parse_tier(args.tier),
-        max_cycles=args.max_cycles,
-    ).validate()
-
-    points = spec.expand()
-    print(
-        f"sweep: {len(points)} points = {len(spec.models)} models x "
-        f"{len(spec.l2_mib)} L2 sizes x {len(spec.seq_lens)} seq lens x "
-        f"{len(spec.policies)} policies (tier={spec.tier.name}, jobs={args.jobs})"
+    policies = tuple(args.policies or FIG9_POLICY_LABELS)
+    tier = parse_tier(args.tier)
+    grid = Grid(
+        Scenario(workload="llama3-70b", tier=tier, max_cycles=args.max_cycles),
+        (
+            ("workload", tuple(args.models or ("llama3-70b", "llama3-405b"))),
+            ("l2_mib", tuple(args.l2_mib or FIG9_L2_MIB)),
+            ("seq_len", tuple(args.seq_lens or (FIG9_SEQ_LEN,))),
+            ("policy", policies),
+        ),
     )
-    store = ResultStore(args.store) if args.store else None
-    if store is not None and store.completed_count:
-        print(f"store: {store.path} ({store.completed_count} completed points on disk)")
 
     def progress(done: int, total: int, outcome) -> None:
         cycles = f"{outcome.result.cycles:>10}" if outcome.ok else " " * 10
         _point_progress(done, total, outcome, detail=f"{cycles} cycles  ")
 
-    report = run_sweep(
-        points,
-        jobs=args.jobs,
-        store=store,
-        progress=None if args.quiet else progress,
-        force=args.force,
-    )
-    logger.debug("sweep profile: %s", report.profile())
+    report = _run_grid(args, "sweep", grid, progress)
 
     # Summary table: speedups are normalised against the first --policy label
     # within each (model, L2, seq-len) cell.
-    baseline_label = spec.policies[0]
+    baseline_label = policies[0]
     baseline_cycles = {
         o.point.coords: o.result.cycles
         for o in report.outcomes
@@ -1037,12 +962,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
                 ),
             }
         )
-    print()
-    print(format_grid(f"sweep results (tier={spec.tier.name})", rows))
-    print(report.summary())
-    for failure in report.failures:
-        print(f"FAILED {failure.point.describe()}:\n{failure.error}")
-    return 1 if report.failures else 0
+    return _print_grid_results(f"sweep results (tier={tier.name})", rows, report)
 
 
 def _bench_command(args: argparse.Namespace) -> int:

@@ -23,16 +23,21 @@ Quick start::
     ).run()
     print(metrics.summary())
 
-Cluster points also sweep through the parallel executor::
+Cluster points also sweep through the parallel executor, with the fleet
+shape as ordinary grid axes::
 
-    from repro.cluster import ClusterSweepSpec
-    from repro.sweep import run_sweep
+    from repro.cluster import ClusterScenario
+    from repro.sweep import Grid, run_sweep
 
-    spec = ClusterSweepSpec(
-        workloads=("llama3-70b",), rates=(2000, 4000),
-        replica_counts=(2, 4), routers=("round-robin", "join-shortest-queue"),
+    grid = Grid(
+        ClusterScenario(workload="llama3-70b"),
+        (
+            ("rate", (2000, 4000)),
+            ("replicas", (2, 4)),
+            ("router", ("round-robin", "join-shortest-queue")),
+        ),
     )
-    report = run_sweep(spec.expand(), jobs=4)
+    report = run_sweep(grid, jobs=4)
 """
 
 from repro.cluster.metrics import ClusterMetrics, ReplicaMetrics
@@ -49,14 +54,11 @@ from repro.cluster.scenario import (
     run_cluster_scenario,
 )
 from repro.cluster.simulator import ClusterSimulator, ReplicaSim
-from repro.cluster.sweep import ClusterPoint, ClusterSweepSpec
 
 __all__ = [
     "ClusterMetrics",
-    "ClusterPoint",
     "ClusterScenario",
     "ClusterSimulator",
-    "ClusterSweepSpec",
     "JoinShortestQueueRouter",
     "LeastOutstandingRouter",
     "ReplicaMetrics",

@@ -21,6 +21,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.simulator import ClusterSimulator, ReplicaSim
@@ -46,6 +47,7 @@ from repro.serve.schedpolicy import DEFAULT_PREFILL_CHUNK, PrefillOnlyPolicy
 from repro.serve.scheduler import SEQ_BUCKET_FLOOR, BatchConfig
 from repro.serve.stepcost import SimStepCostModel
 from repro.sim.runner import clear_trace_cache
+from repro.sweep.spec import ScenarioPoint
 
 #: The router a ClusterScenario uses when none is given.
 DEFAULT_ROUTER = "round-robin"
@@ -90,6 +92,9 @@ class ClusterScenario:
     dispatched by a second instance of the same router discipline).
     ``replicas`` must equal P + D.
     """
+
+    #: Store kind tag of this scenario's points and results.
+    kind: ClassVar[str] = "cluster"
 
     workload: str
     arrival: str = "poisson"
@@ -190,6 +195,11 @@ class ClusterScenario:
         resolve_policy(self.policy)
         for system in self.systems:
             resolve_system(system)
+        # The KV knobs must be valid even with accounting off, so a sweep
+        # axis never carries a bad block size or preemption name silently.
+        KVCacheConfig(
+            block_tokens=self.kv_block, preemption=self.preemption, swap_ms=self.kv_swap_ms
+        ).validate()
         if self.kv_budget is not None:
             if not self.prefill_cost:
                 raise ConfigError(
@@ -259,14 +269,29 @@ class ClusterScenario:
             swap_ms=self.kv_swap_ms,
         )
 
+    def fleet(self) -> str | int:
+        """The fleet shape: the canonical ``"<P>p<D>d"`` split, else the size."""
+
+        split = self.canonical_disaggregated()
+        return self.replicas if split is None else split
+
     @property
     def display_label(self) -> str:
         if self.label is not None:
             return self.label
-        fleet = self.canonical_disaggregated()
-        if fleet is None:
-            fleet = self.replicas
-        return f"{self.router}x{fleet}@{self.arrival}"
+        return f"{self.router}x{self.fleet()}@{self.arrival}"
+
+    def describe(self) -> str:
+        return (
+            f"cluster {self.workload} x{self.fleet()} {self.router} {self.scheduler} "
+            f"{self.arrival}@{self.rate:g} n={self.num_requests} "
+            f"b<={self.max_batch} seed={self.seed}"
+        )
+
+    def to_point(self) -> ScenarioPoint:
+        """This scenario as a sweep job labelled ``"<display label>@<rate>"``."""
+
+        return ScenarioPoint(f"{self.display_label}@{self.rate:g}", self)
 
     # -- identity ----------------------------------------------------------------------
     def config_dict(self) -> dict:

@@ -21,13 +21,14 @@ Quick start::
     ).run()
     print(metrics.summary())
 
-Serving points also sweep through the parallel executor::
+Serving points also sweep through the parallel executor: any scenario field
+is a grid axis, and every cell becomes a point via ``to_point()``::
 
-    from repro.serve import ServeSweepSpec
-    from repro.sweep import run_sweep
+    from repro.serve import ServeScenario
+    from repro.sweep import Grid, run_sweep
 
-    spec = ServeSweepSpec(workloads=("llama3-70b",), rates=(1000, 2000, 4000))
-    report = run_sweep(spec.expand(), jobs=4)
+    grid = Grid(ServeScenario(workload="llama3-70b"), (("rate", (1000, 2000, 4000)),))
+    report = run_sweep(grid, jobs=4)
 """
 
 from repro.serve.arrival import ArrivalProcess, OpenLoopArrivals
@@ -57,7 +58,6 @@ from repro.serve.scheduler import (
 )
 from repro.serve.simulator import ServeStallReport, ServingSimulator
 from repro.serve.stepcost import LinearStepCostModel, SimStepCostModel, StepCostModel
-from repro.serve.sweep import ServePoint, ServeSweepSpec
 
 __all__ = [
     "ArrivalProcess",
@@ -79,11 +79,9 @@ __all__ = [
     "RequestSampler",
     "SchedulerPolicy",
     "ServeMetrics",
-    "ServePoint",
     "ServeSLO",
     "ServeScenario",
     "ServeStallReport",
-    "ServeSweepSpec",
     "ServingSimulator",
     "SwapPreemption",
     "SimStepCostModel",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from repro.common.errors import ConfigError
 from repro.config.policies import PolicyConfig
@@ -40,6 +40,7 @@ from repro.serve.scheduler import SEQ_BUCKET_FLOOR, BatchConfig
 from repro.serve.simulator import ServingSimulator
 from repro.serve.stepcost import SimStepCostModel
 from repro.sim.runner import clear_trace_cache
+from repro.sweep.spec import ScenarioPoint
 
 #: The system name a ServeScenario uses when none is given (matches
 #: :data:`repro.api.DEFAULT_SYSTEM`).
@@ -60,6 +61,9 @@ class ResolvedServeScenario(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class ServeScenario:
     """One serving simulation point over a stream of decode requests."""
+
+    #: Store kind tag of this scenario's points and results.
+    kind: ClassVar[str] = "serve"
 
     workload: str
     arrival: str = "poisson"
@@ -123,6 +127,11 @@ class ServeScenario:
         self.slo().validate()
         resolve_arrival(self.arrival)  # raises ConfigError on unknown names
         resolve_scheduler(self.scheduler)
+        # The KV knobs must be valid even with accounting off, so a sweep
+        # axis never carries a bad block size or preemption name silently.
+        KVCacheConfig(
+            block_tokens=self.kv_block, preemption=self.preemption, swap_ms=self.kv_swap_ms
+        ).validate()
         resolved = self.resolve()
         if self.kv_budget is not None:
             if not self.prefill_cost:
@@ -180,6 +189,17 @@ class ServeScenario:
     @property
     def display_label(self) -> str:
         return self.label if self.label is not None else f"{self.policy}@{self.arrival}"
+
+    def describe(self) -> str:
+        return (
+            f"serve {self.workload} {self.arrival}@{self.rate:g} {self.scheduler} "
+            f"n={self.num_requests} b<={self.max_batch} seed={self.seed}"
+        )
+
+    def to_point(self) -> ScenarioPoint:
+        """This scenario as a sweep job labelled ``"<display label>@<rate>"``."""
+
+        return ScenarioPoint(f"{self.display_label}@{self.rate:g}", self)
 
     # -- identity ----------------------------------------------------------------------
     def config_dict(self) -> dict:

@@ -3,8 +3,8 @@
 Runs sweep-point jobs across a process pool.  A *point* is anything satisfying
 the small job contract -- ``key()`` (content hash), ``label``, ``describe()``,
 ``config_dict()`` and ``execute() -> result`` -- which today means kernel-level
-:class:`~repro.sweep.spec.SweepPoint` and request-level
-:class:`~repro.serve.sweep.ServePoint` jobs; the two kinds mix freely in one
+:class:`~repro.sweep.spec.SweepPoint` and serve/cluster
+:class:`~repro.sweep.spec.ScenarioPoint` jobs; the kinds mix freely in one
 submission and one result store.  Each worker process keeps its own
 module-level trace cache (``repro.sim.runner``), so points that share a
 workload reuse the generated trace for free; jobs are submitted in the
@@ -22,18 +22,20 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.sim.results import SimResult
-from repro.sweep.spec import SweepPoint, SweepSpec
+from repro.sweep.spec import Grid, Point
 from repro.sweep.store import ResultStore
 
 if TYPE_CHECKING:
+    from repro.cluster.metrics import ClusterMetrics
     from repro.serve.metrics import ServeMetrics
 
     #: What a point's ``execute()`` returns: a labelled, ``to_dict``-serializable
-    #: result (``SimResult`` for kernel points, ``ServeMetrics`` for serve points).
-    PointResult = SimResult | ServeMetrics
+    #: result (``SimResult`` for kernel points, ``ServeMetrics`` or
+    #: ``ClusterMetrics`` for serve and cluster points).
+    PointResult = SimResult | ServeMetrics | ClusterMetrics
 
 #: progress(done, total, outcome) -- invoked after every finished point.
 ProgressCallback = Callable[[int, int, "PointOutcome"], None]
@@ -45,7 +47,9 @@ logger = logging.getLogger(__name__)
 class PointOutcome:
     """What happened to one sweep point."""
 
-    point: SweepPoint
+    #: The submitted job as given, a :class:`~repro.sweep.spec.SweepPoint` or
+    #: :class:`~repro.sweep.spec.ScenarioPoint`; callers read their own kind.
+    point: Any
     result: "PointResult | None"
     error: str | None
     cached: bool
@@ -84,7 +88,7 @@ class SweepReport:
     def failures(self) -> list[PointOutcome]:
         return [o for o in self.outcomes if not o.ok]
 
-    def result_for(self, point: SweepPoint) -> PointResult:
+    def result_for(self, point: Point) -> PointResult:
         """The result of ``point``; raises KeyError if it failed or is absent.
 
         An exact point match wins (its result carries the point's own label);
@@ -140,7 +144,7 @@ class SweepReport:
         }
 
 
-def _execute_point(point: SweepPoint) -> "tuple[PointResult | None, str | None, float]":
+def _execute_point(point: Point) -> "tuple[PointResult | None, str | None, float]":
     """Worker entry point: run one point's ``execute()``, capturing any failure.
 
     The wall-clock reads time the *orchestration* (per-point elapsed seconds
@@ -163,7 +167,7 @@ def _with_label(result: PointResult, label: str) -> PointResult:
 
 
 def run_sweep(
-    points: SweepSpec | Iterable[SweepPoint],
+    points: Grid | Iterable[Point],
     jobs: int = 1,
     store: ResultStore | None = None,
     progress: ProgressCallback | None = None,
@@ -177,9 +181,9 @@ def run_sweep(
     cache), which is also the fallback for tiny grids.
     """
 
-    if isinstance(points, SweepSpec):
+    if isinstance(points, Grid):
         points = points.expand()
-    point_list: Sequence[SweepPoint] = list(points)
+    point_list: Sequence[Point] = list(points)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     # Orchestration timing only: elapsed_s reports sweep wall time, never
@@ -216,7 +220,7 @@ def run_sweep(
     for i, point in enumerate(point_list):
         by_key.setdefault(point.key(), []).append(i)
 
-    pending: list[tuple[SweepPoint, list[int]]] = []
+    pending: list[tuple[Point, list[int]]] = []
     for key, indices in by_key.items():
         point = point_list[indices[0]]
         if store is not None and not force:
@@ -227,7 +231,7 @@ def run_sweep(
         pending.append((point, indices))
 
     def record(
-        point: SweepPoint,
+        point: Point,
         indices: list[int],
         outcome: "tuple[PointResult | None, str | None, float]",
     ) -> None:

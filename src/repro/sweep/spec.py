@@ -1,37 +1,47 @@
-"""Declarative sweep specifications.
+"""Sweep grids and the job descriptors they expand into.
 
-A :class:`SweepSpec` names a cartesian grid -- models x sequence lengths x
-policies x L2 capacities x one scale tier -- and expands it, via
-:class:`repro.api.Scenario`, into fully resolved :class:`SweepPoint` job
-descriptors.  A point carries the *scaled* system, workload and policy
-configurations, so it is self-contained: the executor can run it in any worker
-process without re-reading presets, and its content hash
-(:meth:`SweepPoint.key`) identifies the simulation independently of display
-labels, which is what makes the result store resumable and deduplicating.
+A :class:`Grid` is one base frozen scenario plus ordered ``(field, values)``
+axes.  It expands via :func:`dataclasses.replace` into one validated scenario
+per cell, and each scenario turns itself into a job with ``to_point()``:
 
-Model and policy names resolve through :mod:`repro.registry`, so a workload or
-policy registered anywhere is immediately sweepable.
+* a kernel :class:`repro.api.Scenario` resolves into a :class:`SweepPoint`,
+  which carries the *scaled* system, workload and policy configurations, so
+  the executor can run it in any worker process without re-reading presets;
+* a :class:`~repro.serve.scenario.ServeScenario` or
+  :class:`~repro.cluster.scenario.ClusterScenario` becomes a
+  :class:`ScenarioPoint`, which names its components through the registries.
+
+Every point's content hash (``key()``) identifies the simulation
+independently of display labels, which is what makes the result store
+resumable and deduplicating.  Any scenario field is an axis, and anything
+registered through :mod:`repro.registry` is immediately sweepable.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.common.errors import ConfigError
 from repro.config.policies import PolicyConfig
 from repro.config.presets import FIG9_L2_MIB, FIG9_SEQ_LEN
-from repro.config.scale import ScaleTier, parse_tier
+from repro.config.scale import ScaleTier
 from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
 from repro.dataflow.constraints import DataflowConstraints
-from repro.dataflow.ordering import ThreadBlockOrdering, parse_ordering
-from repro.registry import WORKLOADS, resolve_policy, resolve_workload
+from repro.dataflow.ordering import ThreadBlockOrdering
+from repro.registry import resolve_workload
 
 if TYPE_CHECKING:  # deferred at runtime: keeps the spec module import-light
+    from repro.cluster.metrics import ClusterMetrics
+    from repro.cluster.scenario import ClusterScenario
+    from repro.serve.metrics import ServeMetrics
+    from repro.serve.scenario import ServeScenario
     from repro.sim.results import SimResult
 
 
@@ -122,7 +132,7 @@ class SweepPoint:
     def execute(self) -> "SimResult":
         """Simulate this point (the executor's uniform worker entry point).
 
-        Every sweepable point type (this class, serve points, ...) exposes
+        Every sweepable point type (this class and :class:`ScenarioPoint`) exposes
         ``execute() -> result`` where the result carries a ``label`` field and
         serializes via ``to_dict``/``from_dict``.
         """
@@ -201,92 +211,92 @@ def sweep_point(
 
 
 @dataclass(frozen=True, slots=True)
-class SweepSpec:
-    """A declarative cartesian grid of simulation points.
+class ScenarioPoint:
+    """One serving or cluster job: a display label plus the scenario it runs.
 
-    Models and policies are registry names / paper-style labels
-    (``"dynmg+BMA"``); ``l2_mib`` entries of ``None`` mean the system's default
-    capacity.  Expansion order is the deterministic nesting
-    model -> l2 -> seq_len -> policy, so job submission groups points that
-    share a trace (same workload/seq-len) together.
+    The scenario names its components through the registries, which every
+    worker can resolve, so the point pickles small.  Its identity is the
+    scenario's content hash; the ``kind`` tag in :meth:`config_dict` keeps
+    serve and cluster records apart in a shared store.
     """
 
-    models: tuple[str, ...]
-    seq_lens: tuple[int, ...]
-    policies: tuple[str, ...]
-    l2_mib: tuple[int | None, ...] = (None,)
-    tier: ScaleTier = ScaleTier.CI
-    max_cycles: int | None = None
-    ordering: ThreadBlockOrdering = ThreadBlockOrdering.GQA_SHARED
+    label: str
+    scenario: "ServeScenario | ClusterScenario"
+    #: Lazily memoized content hash.
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def validate(self) -> "SweepSpec":
-        for axis in ("models", "seq_lens", "policies", "l2_mib"):
-            if not getattr(self, axis):
-                raise ConfigError(f"SweepSpec.{axis} must be non-empty")
-        for model in self.models:
-            WORKLOADS.get(model)  # raises ConfigError listing known workloads
-        for policy in self.policies:
-            resolve_policy(policy)  # raises ConfigError listing known policies
-        if any(s <= 0 for s in self.seq_lens):
-            raise ConfigError("seq_lens must be positive")
-        if any(m is not None and m <= 0 for m in self.l2_mib):
-            raise ConfigError("l2_mib entries must be positive (or None for default)")
+    def config_dict(self) -> dict:
+        return {"kind": self.scenario.kind, "scenario": self.scenario.config_dict()}
+
+    def key(self) -> str:
+        """Content hash identifying this simulation (labels excluded)."""
+
+        if self._key is None:
+            # Lazy memo of a derived field (compare=False): identity unchanged.
+            object.__setattr__(self, "_key", self.scenario.key())  # repro: noqa[API001]
+        return self._key
+
+    def describe(self) -> str:
+        return f"{self.label}: {self.scenario.describe()}"
+
+    def execute(self) -> "ServeMetrics | ClusterMetrics":
+        """Run the simulation (the executor's worker entry point)."""
+
+        return replace(self.scenario.run(), label=self.label)
+
+
+#: Anything the executor and the result store accept as a job.
+Point = SweepPoint | ScenarioPoint
+
+
+@dataclass(frozen=True, slots=True)
+class Grid:
+    """A cartesian grid over the fields of one frozen scenario.
+
+    ``base`` is any scenario dataclass with ``validate()`` and ``to_point()``
+    (:class:`repro.api.Scenario`, :class:`~repro.serve.scenario.ServeScenario`,
+    :class:`~repro.cluster.scenario.ClusterScenario`).  ``axes`` is an ordered
+    tuple of ``(field, values)`` pairs; every cell replaces those fields of
+    ``base``, and the first axis is the outermost loop.
+    """
+
+    base: Any
+    axes: tuple[tuple[str, tuple[Any, ...]], ...]
+
+    def validate(self) -> "Grid":
+        names = [f.name for f in fields(self.base)]
+        seen: set[str] = set()
+        for name, values in self.axes:
+            if name not in names:
+                raise ConfigError(
+                    f"grid axis {name!r} is not a field of "
+                    f"{type(self.base).__name__} (fields: {', '.join(names)})"
+                )
+            if name in seen:
+                raise ConfigError(f"grid axis {name!r} appears twice")
+            if not values:
+                raise ConfigError(f"grid axis {name!r} must be non-empty")
+            seen.add(name)
         return self
 
     @property
     def num_points(self) -> int:
-        return len(self.models) * len(self.l2_mib) * len(self.seq_lens) * len(self.policies)
+        return math.prod(len(values) for _, values in self.axes)
 
-    def scenarios(self) -> tuple:
-        """The grid as :class:`repro.api.Scenario` objects, in expansion order."""
-
-        from repro.api import Scenario  # deferred: repro.api consumes this module
+    def scenarios(self) -> tuple[Any, ...]:
+        """Every cell as a validated scenario, in expansion order."""
 
         self.validate()
+        names = [name for name, _ in self.axes]
         return tuple(
-            Scenario(
-                workload=model,
-                policy=policy,
-                seq_len=seq_len,
-                l2_mib=l2,
-                tier=self.tier,
-                ordering=self.ordering,
-                max_cycles=self.max_cycles,
-            )
-            for model in self.models
-            for l2 in self.l2_mib
-            for seq_len in self.seq_lens
-            for policy in self.policies
+            replace(self.base, **dict(zip(names, cell, strict=True))).validate()
+            for cell in itertools.product(*(values for _, values in self.axes))
         )
 
-    def expand(self) -> tuple[SweepPoint, ...]:
-        """Expand the grid into fully resolved points, in deterministic order."""
+    def expand(self) -> tuple[Point, ...]:
+        """Every cell as an executable point, in expansion order."""
 
         return tuple(scenario.to_point() for scenario in self.scenarios())
-
-    # -- (de)serialization for CLI spec files -------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "models": list(self.models),
-            "seq_lens": list(self.seq_lens),
-            "policies": list(self.policies),
-            "l2_mib": list(self.l2_mib),
-            "tier": self.tier.name,
-            "max_cycles": self.max_cycles,
-            "ordering": self.ordering.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        return cls(
-            models=tuple(data["models"]),
-            seq_lens=tuple(data["seq_lens"]),
-            policies=tuple(data["policies"]),
-            l2_mib=tuple(data.get("l2_mib", (None,))),
-            tier=parse_tier(data.get("tier", "CI")),
-            max_cycles=data.get("max_cycles"),
-            ordering=parse_ordering(data.get("ordering", "gqa-shared")),
-        ).validate()
 
 
 #: Fig 9's policy legend, as labels understood by :func:`resolve_policy`.
@@ -308,14 +318,17 @@ def fig9_spec(
     l2_mib: Iterable[int] = FIG9_L2_MIB,
     policies: Iterable[str] = FIG9_POLICY_LABELS,
     max_cycles: int | None = None,
-) -> SweepSpec:
-    """The Fig 9 cache-size sweep as a declarative spec (the CLI default)."""
+) -> Grid:
+    """The Fig 9 cache-size sweep as a grid (the CLI default)."""
 
-    return SweepSpec(
-        models=tuple(models),
-        seq_lens=(seq_len,),
-        policies=tuple(policies),
-        l2_mib=tuple(l2_mib),
-        tier=tier,
-        max_cycles=max_cycles,
+    from repro.api import Scenario  # deferred: repro.api consumes this module
+
+    base = Scenario(workload="llama3-70b", seq_len=seq_len, tier=tier, max_cycles=max_cycles)
+    return Grid(
+        base,
+        (
+            ("workload", tuple(models)),
+            ("l2_mib", tuple(l2_mib)),
+            ("policy", tuple(policies)),
+        ),
     ).validate()

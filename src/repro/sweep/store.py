@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.sim.results import SimResult
-from repro.sweep.spec import SweepPoint
+from repro.sweep.spec import Point
 
 #: kind tag -> "module:class" of the result type; resolved on first use so the
 #: store never imports the serve subsystem unless a serve record appears.
@@ -143,7 +143,7 @@ class ResultStore:
     def get(self, key: str) -> StoreRecord | None:
         return self._records.get(key)
 
-    def result_for(self, point: SweepPoint) -> "SimResult | object | None":
+    def result_for(self, point: Point) -> "SimResult | object | None":
         """The stored result of ``point``, or None if absent/failed."""
 
         record = self._records.get(point.key())
@@ -215,7 +215,7 @@ class ResultStore:
     # -- writes ------------------------------------------------------------------------
     def put(
         self,
-        point: SweepPoint,
+        point: Point,
         result: "SimResult | object | None" = None,
         error: str | None = None,
         elapsed_s: float = 0.0,

@@ -183,7 +183,7 @@ class TestExtensibility:
     def test_registered_workload_reaches_every_layer(self, capsys):
         from repro.api import Scenario, Simulation
         from repro.cli import main
-        from repro.sweep.spec import SweepSpec
+        from repro.sweep.spec import Grid
 
         @register_workload("test-tiny", description="throwaway test workload")
         def tiny_builder(seq_len: int = 64):
@@ -191,10 +191,11 @@ class TestExtensibility:
 
         try:
             # Declarative sweep grids validate and expand it...
-            spec = SweepSpec(
-                models=("test-tiny",), seq_lens=(64,), policies=("unopt",)
+            grid = Grid(
+                Scenario(workload="llama3-70b", seq_len=64),
+                (("workload", ("test-tiny",)), ("policy", ("unopt",))),
             ).validate()
-            (point,) = spec.expand()
+            (point,) = grid.expand()
             assert point.workload.shape.seq_len == 64
             # ...the facade builder resolves it...
             scenario = Simulation.builder().workload("test-tiny", seq_len=64).build()

@@ -10,13 +10,13 @@ from repro.serve import (
     LinearStepCostModel,
     RequestSampler,
     ServeScenario,
-    ServeSweepSpec,
     ServingSimulator,
     SimStepCostModel,
 )
 from repro.serve.arrival import closed_loop_arrivals, poisson_arrivals
 from repro.sim.runner import cached_trace, clear_trace_cache, trace_cache_size
 from repro.sweep.executor import run_sweep
+from repro.sweep.spec import Grid
 from repro.sweep.store import ResultStore
 
 
@@ -188,17 +188,19 @@ class TestServeScenario:
 
 class TestServeSweep:
     def test_grid_runs_and_resumes_through_the_store(self, tiny_serve_names, tmp_path):
-        spec = ServeSweepSpec(
-            workloads=(tiny_serve_names["workload"],),
-            rates=(40_000.0, 80_000.0),
-            num_requests=4,
-            max_batch=2,
-            system=tiny_serve_names["system"],
-            tier=ScaleTier.FULL,
-            prompt_tokens=(32, 64),
-            output_tokens=(2, 4),
+        grid = Grid(
+            ServeScenario(
+                workload=tiny_serve_names["workload"],
+                num_requests=4,
+                max_batch=2,
+                system=tiny_serve_names["system"],
+                tier=ScaleTier.FULL,
+                prompt_tokens=(32, 64),
+                output_tokens=(2, 4),
+            ),
+            (("rate", (40_000.0, 80_000.0)),),
         ).validate()
-        points = spec.expand()
+        points = grid.expand()
         store = ResultStore(tmp_path / "serve.jsonl")
         report = run_sweep(points, jobs=1, store=store)
         assert report.num_ok == 2 and report.num_simulated == 2
@@ -211,21 +213,33 @@ class TestServeSweep:
         assert resumed.num_cached == 2
         assert resumed.result_for(points[0]).to_dict() == metrics.to_dict()
 
-    def test_spec_round_trip_and_validation(self):
-        spec = ServeSweepSpec(
-            workloads=("llama3-70b",), rates=(1000.0, 2000.0, 4000.0),
-            arrivals=("poisson", "bursty"), policies=("unopt", "dynmg"),
+    def test_grid_validation(self):
+        base = ServeScenario(workload="llama3-70b")
+        grid = Grid(
+            base,
+            (
+                ("rate", (1000.0, 2000.0, 4000.0)),
+                ("arrival", ("poisson", "bursty")),
+                ("policy", ("unopt", "dynmg")),
+            ),
         )
-        assert ServeSweepSpec.from_dict(spec.to_dict()) == spec
-        assert spec.num_points == 12
+        assert grid.validate().num_points == 12
+        assert len(grid.expand()) == 12
         with pytest.raises(ConfigError):
-            ServeSweepSpec(workloads=("llama3-70b",), rates=()).validate()
+            Grid(base, (("rate", ()),)).validate()
         with pytest.raises(ConfigError):
-            ServeSweepSpec(workloads=("gpt-7",), rates=(1.0,)).validate()
+            Grid(base, (("workload", ("gpt-7",)), ("rate", (1.0,)))).expand()
+        with pytest.raises(ConfigError, match="not a field of ServeScenario"):
+            Grid(base, (("replicas", (2,)),)).validate()
 
-    def test_labels_and_coords(self):
-        spec = ServeSweepSpec(workloads=("llama3-70b",), rates=(1000.0,))
-        point = spec.expand()[0]
-        assert point.coord("rate") == 1000.0
-        assert point.coord("model") == "llama3-70b"
-        assert "serve" in point.describe()
+    def test_labels_describe_and_kind(self):
+        point = Grid(ServeScenario(workload="llama3-70b"), (("rate", (1000.0,)),)).expand()[0]
+        assert point.label == "unopt@poisson@1000"
+        assert point.scenario.rate == 1000.0
+        assert point.scenario.workload == "llama3-70b"
+        assert point.describe() == (
+            "unopt@poisson@1000: serve llama3-70b poisson@1000 decode-first "
+            "n=32 b<=4 seed=0"
+        )
+        assert point.config_dict()["kind"] == "serve"
+        assert point.key() == point.scenario.key()

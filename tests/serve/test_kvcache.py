@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.scenario import ClusterScenario
 from repro.common.errors import ConfigError, LivelockError, SimulationError
 from repro.config.scale import ScaleTier
 from repro.registry import PREEMPTIONS, resolve_system
@@ -196,6 +197,21 @@ class TestScenarioConfig:
     def test_unknown_budget_kind_rejected(self):
         with pytest.raises(ConfigError, match="kv_budget"):
             ServeScenario(workload="llama3-70b", kv_budget="lots").validate()
+
+    @pytest.mark.parametrize("scenario_cls", [ServeScenario, ClusterScenario])
+    @pytest.mark.parametrize(
+        ("knob", "match"),
+        [
+            ({"kv_block": 0}, "block_tokens must be positive"),
+            ({"kv_swap_ms": -1.0}, "swap_ms must be non-negative"),
+            ({"preemption": "bogus"}, "bogus"),
+        ],
+    )
+    def test_kv_knobs_validated_with_accounting_off(self, scenario_cls, knob, match):
+        # A sweep axis must not carry a bad KV knob silently just because the
+        # budget axis keeps accounting off for that cell.
+        with pytest.raises(ConfigError, match=match):
+            scenario_cls(workload="llama3-70b", **knob).validate()
 
 
 class TestEndToEnd:

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Scenario
 from repro.config.policies import PolicyConfig, ThrottleKind
 from repro.config.presets import llama3_70b_logit, table5_system
 from repro.config.scale import ScaleTier, scale_experiment
 from repro.sim.runner import compare_policies
 from repro.sweep import executor as executor_module
 from repro.sweep.executor import run_sweep
-from repro.sweep.spec import SweepPoint, SweepSpec
+from repro.sweep.spec import Grid, SweepPoint
 from repro.sweep.store import ResultStore
 
 CI_POLICIES = {
@@ -30,14 +31,14 @@ class TestSerialEquivalence:
         )
         serial = compare_policies(system, workload, CI_POLICIES, baseline_label="unopt")
 
-        spec = SweepSpec(
-            models=("llama3-70b",),
-            seq_lens=(seq_len,),
-            policies=tuple(CI_POLICIES),
-            tier=ScaleTier.CI,
+        grid = Grid(
+            Scenario(workload="llama3-70b", seq_len=seq_len, tier=ScaleTier.CI),
+            (("policy", tuple(CI_POLICIES)),),
         )
-        points = spec.expand()
-        report = run_sweep(points, jobs=1).raise_on_failure()
+        points = grid.expand()
+        # run_sweep expands a Grid itself, in the same order.
+        report = run_sweep(grid, jobs=1).raise_on_failure()
+        assert [o.point for o in report.outcomes] == list(points)
         for point in points:
             name = point.coord("policy")
             assert report.result_for(point).cycles == serial.results[name].cycles

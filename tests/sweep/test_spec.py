@@ -1,89 +1,105 @@
-"""Tests for sweep specs: grid expansion, content hashing, round-trips."""
+"""Tests for sweep grids: expansion, validation and content hashing."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import Scenario
 from repro.common.errors import ConfigError
 from repro.config.policies import PolicyConfig, ThrottleKind
 from repro.config.scale import ScaleTier
 from repro.sweep.spec import (
     FIG9_POLICY_LABELS,
+    Grid,
     SweepPoint,
-    SweepSpec,
     fig9_spec,
     sweep_point,
     workload_for,
 )
 
 
+def kernel_grid(tier=ScaleTier.SMOKE, **axes) -> Grid:
+    """A kernel grid over ``axes`` (field -> values), in the given order."""
+
+    return Grid(Scenario(workload="llama3-70b", tier=tier), tuple(axes.items()))
+
+
 class TestGridExpansion:
     def test_point_count_is_cartesian_product(self):
-        spec = SweepSpec(
-            models=("llama3-70b", "llama3-405b"),
-            seq_lens=(1024, 2048, 4096),
-            policies=("unopt", "dynmg"),
+        grid = kernel_grid(
+            workload=("llama3-70b", "llama3-405b"),
             l2_mib=(16, 32),
-            tier=ScaleTier.SMOKE,
+            seq_len=(1024, 2048, 4096),
+            policy=("unopt", "dynmg"),
         )
-        assert spec.num_points == 2 * 3 * 2 * 2
-        assert len(spec.expand()) == spec.num_points
+        assert grid.num_points == 2 * 3 * 2 * 2
+        assert len(grid.expand()) == grid.num_points
 
     def test_expansion_is_deterministic(self):
-        spec = SweepSpec(
-            models=("llama3-70b",),
-            seq_lens=(1024, 2048),
-            policies=("unopt", "dynmg+BMA"),
-            tier=ScaleTier.SMOKE,
-        )
-        first, second = spec.expand(), spec.expand()
+        grid = kernel_grid(seq_len=(1024, 2048), policy=("unopt", "dynmg+BMA"))
+        first, second = grid.expand(), grid.expand()
         assert first == second
         assert [p.key() for p in first] == [p.key() for p in second]
 
+    def test_first_axis_is_outermost(self):
+        grid = kernel_grid(l2_mib=(16, 32), policy=("unopt", "dynmg"))
+        cells = [(s.l2_mib, s.policy) for s in grid.scenarios()]
+        assert cells == [(16, "unopt"), (16, "dynmg"), (32, "unopt"), (32, "dynmg")]
+        swapped = kernel_grid(policy=("unopt", "dynmg"), l2_mib=(16, 32))
+        cells = [(s.l2_mib, s.policy) for s in swapped.scenarios()]
+        assert cells == [(16, "unopt"), (32, "unopt"), (16, "dynmg"), (32, "dynmg")]
+
     def test_all_keys_distinct_across_grid(self):
         # Seq lens chosen to stay distinct after SMOKE scaling (/64, floor 64).
-        spec = SweepSpec(
-            models=("llama3-70b",),
-            seq_lens=(4096, 8192),
-            policies=("unopt", "dynmg"),
-            l2_mib=(16, 32),
-            tier=ScaleTier.SMOKE,
+        grid = kernel_grid(
+            l2_mib=(16, 32), seq_len=(4096, 8192), policy=("unopt", "dynmg")
         )
-        points = spec.expand()
+        points = grid.expand()
         assert len({p.key() for p in points}) == len(points)
 
     def test_points_carry_scaled_configs(self):
-        spec = SweepSpec(
-            models=("llama3-70b",),
-            seq_lens=(4096,),
-            policies=("unopt",),
-            l2_mib=(32,),
-            tier=ScaleTier.CI,
-        )
-        (point,) = spec.expand()
+        grid = kernel_grid(tier=ScaleTier.CI, l2_mib=(32,), seq_len=(4096,))
+        (point,) = grid.expand()
         # CI tier divides both axes by 32.
         assert point.workload.shape.seq_len == 4096 // 32
         assert point.system.l2.size_bytes == 32 * 2**20 // 32
 
+    def test_no_axes_is_the_base_point(self):
+        grid = kernel_grid()
+        assert grid.num_points == 1
+        assert grid.scenarios() == (grid.base,)
+
     def test_fig9_spec_matches_paper_grid(self):
-        spec = fig9_spec(tier=ScaleTier.CI)
-        assert spec.num_points == 2 * 3 * 1 * len(FIG9_POLICY_LABELS)
+        grid = fig9_spec(tier=ScaleTier.CI)
+        assert grid.num_points == 2 * 3 * 1 * len(FIG9_POLICY_LABELS)
+        assert len(grid.expand()) == grid.num_points
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(ConfigError):
-            SweepSpec(models=(), seq_lens=(64,), policies=("unopt",)).validate()
+        with pytest.raises(ConfigError, match="must be non-empty"):
+            kernel_grid(workload=(), policy=("unopt",)).validate()
+
+    def test_axis_naming_a_missing_field_rejected(self):
+        with pytest.raises(ConfigError, match="'l2_size' is not a field of Scenario"):
+            kernel_grid(l2_size=(16,)).validate()
+
+    def test_repeated_axis_rejected(self):
+        grid = Grid(kernel_grid().base, (("l2_mib", (16,)), ("l2_mib", (32,))))
+        with pytest.raises(ConfigError, match="appears twice"):
+            grid.validate()
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
-            SweepSpec(models=("gpt-7",), seq_lens=(64,), policies=("unopt",)).validate()
+            kernel_grid(workload=("gpt-7",), seq_len=(64,)).expand()
         with pytest.raises(ConfigError):
             workload_for("gpt-7", 64)
 
     def test_malformed_policy_label_rejected(self):
         with pytest.raises(ConfigError):
-            SweepSpec(
-                models=("llama3-70b",), seq_lens=(64,), policies=("warpdrive",)
-            ).validate()
+            kernel_grid(seq_len=(64,), policy=("warpdrive",)).expand()
+
+    def test_invalid_cell_value_rejected(self):
+        with pytest.raises(ConfigError, match="seq_len must be positive"):
+            kernel_grid(seq_len=(1024, 0)).scenarios()
 
 
 class TestContentHash:
@@ -123,26 +139,6 @@ class TestContentHash:
         for point in tiny_points:
             text = json.dumps(point.config_dict(), sort_keys=True)
             assert "policy" in text
-
-
-class TestSpecRoundTrip:
-    def test_to_dict_from_dict_round_trip(self):
-        spec = SweepSpec(
-            models=("llama3-405b",),
-            seq_lens=(1024, 8192),
-            policies=("unopt", "dynmg+BMA"),
-            l2_mib=(16, None),
-            tier=ScaleTier.PAPER_SCALED,
-            max_cycles=123_456,
-        )
-        assert SweepSpec.from_dict(spec.to_dict()) == spec
-
-    def test_from_dict_defaults(self):
-        spec = SweepSpec.from_dict(
-            {"models": ["llama3-70b"], "seq_lens": [64], "policies": ["unopt"]}
-        )
-        assert spec.tier is ScaleTier.CI
-        assert spec.l2_mib == (None,)
 
 
 class TestPointHelpers:

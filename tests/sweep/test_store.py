@@ -116,12 +116,10 @@ class TestMixedKinds:
     @pytest.fixture()
     def serve_point(self):
         from repro.serve.scenario import ServeScenario
-        from repro.serve.sweep import ServePoint
 
-        return ServePoint(
-            label="serve-pt",
-            scenario=ServeScenario(workload="llama3-70b", rate=100.0, num_requests=2),
-        )
+        return ServeScenario(
+            workload="llama3-70b", rate=100.0, num_requests=2, label="serve-pt"
+        ).to_point()
 
     @pytest.fixture()
     def serve_metrics(self):
@@ -135,12 +133,10 @@ class TestMixedKinds:
     @pytest.fixture()
     def cluster_point(self):
         from repro.cluster.scenario import ClusterScenario
-        from repro.cluster.sweep import ClusterPoint
 
-        return ClusterPoint(
-            label="cluster-pt",
-            scenario=ClusterScenario(workload="llama3-70b", rate=100.0, num_requests=2),
-        )
+        return ClusterScenario(
+            workload="llama3-70b", rate=100.0, num_requests=2, label="cluster-pt"
+        ).to_point()
 
     @pytest.fixture()
     def cluster_metrics(self):

@@ -176,6 +176,18 @@ class TestServeSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--serve", "--scheduler", "clairvoyant"])
 
+    @pytest.mark.parametrize("mode", ["--serve", "--cluster"])
+    @pytest.mark.parametrize(
+        ("flags", "match"),
+        [
+            (["--kv-block", "0"], "kv block_tokens must be positive, got 0"),
+            (["--preemption", "bogus"], "bogus"),
+        ],
+    )
+    def test_bad_kv_axis_rejected_with_kv_off(self, mode, flags, match):
+        with pytest.raises(SystemExit, match=match):
+            main(["sweep", mode, "--tier", "smoke", *flags])
+
     def test_kernel_axes_with_serve_rejected(self):
         with pytest.raises(SystemExit, match="kernel-sweep"):
             main(["sweep", "--serve", "--seq-len", "1024"])
