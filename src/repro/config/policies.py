@@ -27,6 +27,24 @@ class ThrottleKind(enum.Enum):
     DYNMG = "dynmg"            # two-level dynamic multi-gear (this paper)
 
 
+#: Legend name of each throttle; :attr:`PolicyConfig.label` starts with it.
+THROTTLE_LABELS: dict[ThrottleKind, str] = {
+    ThrottleKind.NONE: "unopt",
+    ThrottleKind.DYNCTA: "dyncta",
+    ThrottleKind.LCS: "lcs",
+    ThrottleKind.DYNMG: "dynmg",
+}
+
+#: Legend suffix of each arbitration policy (FCFS, the default, has none).
+ARBITRATION_LABELS: dict[ArbitrationKind, str] = {
+    ArbitrationKind.FCFS: "",
+    ArbitrationKind.BALANCED: "B",
+    ArbitrationKind.MSHR_AWARE: "MA",
+    ArbitrationKind.BALANCED_MSHR_AWARE: "BMA",
+    ArbitrationKind.COBRRA: "cobrra",
+}
+
+
 class ContentionLevel(enum.IntEnum):
     """Cache-contention classification (Table 3)."""
 
@@ -241,21 +259,8 @@ class PolicyConfig:
     def label(self) -> str:
         """Short label matching the paper's legends (e.g. ``dynmg+BMA``)."""
 
-        throttle_names = {
-            ThrottleKind.NONE: "unopt",
-            ThrottleKind.DYNCTA: "dyncta",
-            ThrottleKind.LCS: "lcs",
-            ThrottleKind.DYNMG: "dynmg",
-        }
-        arb_names = {
-            ArbitrationKind.FCFS: "",
-            ArbitrationKind.BALANCED: "B",
-            ArbitrationKind.MSHR_AWARE: "MA",
-            ArbitrationKind.BALANCED_MSHR_AWARE: "BMA",
-            ArbitrationKind.COBRRA: "cobrra",
-        }
-        t = throttle_names[self.throttle]
-        a = arb_names[self.arbitration]
+        t = THROTTLE_LABELS[self.throttle]
+        a = ARBITRATION_LABELS[self.arbitration]
         if not a:
             return t
         if t == "unopt":

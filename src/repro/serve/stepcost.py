@@ -11,11 +11,14 @@ decode costs share one memoized shape table.
 
 Simulating every step would be ruinously slow -- a serving run takes thousands
 of steps but only ever visits a handful of distinct ``(batch, seq-bucket)``
-shapes, so :class:`SimStepCostModel` memoizes cycles per shape, keyed like the
-trace cache in :mod:`repro.sim.runner` (workload identity + line size +
-ordering + constraints, extended by the batch dimension and the policy).
-Repeated shapes cost a dictionary lookup; the underlying trace is additionally
-shared through :func:`~repro.sim.runner.cached_trace`.
+shapes.  :class:`SimStepCostModel` therefore prices a step in two layers: an
+exact memo keyed by the ``(batch, context)`` the serving loop passes in, and
+under it a table keyed by ``(batch, seq_bucket)`` that records each shape the
+cycle engine simulated.  Everything else that identifies a step's workload --
+system, policy, ordering, constraints, cycle cap -- is fixed per model, so it
+stays out of both keys.  A repeated lookup costs one dictionary probe; the
+underlying trace is additionally shared through
+:func:`~repro.sim.runner.cached_trace`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.config.workload import WorkloadConfig
 from repro.dataflow.constraints import DataflowConstraints
 from repro.dataflow.ordering import ThreadBlockOrdering
 from repro.serve.scheduler import bucket_context
-from repro.sim.runner import _trace_key, cached_trace
+from repro.sim.runner import cached_trace
 from repro.sim.simulator import simulate
 
 
@@ -109,11 +112,14 @@ class LinearStepCostModel(StepCostModel):
 
 
 class SimStepCostModel(StepCostModel):
-    """Cycle-engine-backed step costs with a memoized (batch, bucket) table.
+    """Cycle-engine-backed step costs, memoized per loop shape and per bucket.
 
     ``system`` must already be tier-scaled (the serve scenario scales it once);
     per-step contexts are scaled here with the same tier so the working-set :
-    capacity ratio the tiers preserve also holds inside a serving run.
+    capacity ratio the tiers preserve also holds inside a serving run.  All
+    constructor inputs are fixed for the model's lifetime: the memo and the
+    table key only on the step shape, so changing them afterwards would serve
+    stale cycles.
     """
 
     def __init__(
@@ -135,11 +141,17 @@ class SimStepCostModel(StepCostModel):
         self.constraints = constraints
         self.max_cycles = max_cycles
         self.seq_bucket_floor = seq_bucket_floor
-        self._table: dict[tuple, int] = {}
+        #: Exact cycles per ``(batch, context_tokens)`` as passed in; only
+        #: valid shapes are ever stored, so invalid ones always reach the
+        #: validation in :meth:`batched_workload`.
+        self._memo: dict[tuple[int, int], int] = {}
+        #: Simulated cycles per ``(batch, seq_bucket)``: one entry per
+        #: distinct shape the cycle engine ran.
+        self._table: dict[tuple[int, int], int] = {}
         #: Cycle-engine runs actually performed (table misses); fidelity /
         #: performance introspection for tests and the CLI.
         self.simulations = 0
-        #: Table lookups answered without a cycle-engine run.
+        #: Lookups answered without a cycle-engine run (memo or table hits).
         self.hits = 0
         #: Wall-clock seconds spent inside the cycle engine filling the table.
         self.build_wall_s = 0.0
@@ -166,40 +178,40 @@ class SimStepCostModel(StepCostModel):
             shape=replace(shape, num_kv_heads=shape.num_kv_heads * batch, seq_len=bucket),
         ).validate()
 
-    def _step_key(self, step_workload: WorkloadConfig, batch: int) -> tuple:
-        # The trace-cache key already identifies the workload shape, line size,
-        # ordering and constraints; the step cost additionally depends on the
-        # policy and the cycle cap.
-        return (
-            _trace_key(step_workload, self.system, self.ordering, self.constraints),
-            batch,
-            self.policy.label,
-            self.max_cycles,
-        )
-
     def step_cycles(self, batch: int, context_tokens: int) -> int:
-        step_workload = self.batched_workload(batch, context_tokens)
-        key = self._step_key(step_workload, batch)
-        cycles = self._table.get(key)
+        cycles = self._memo.get((batch, context_tokens))
         if cycles is None:
-            # Wall-clock profiling of table builds only; build_wall_s feeds
-            # the debug-log profile and is never serialized into metrics.
-            build_start = time.perf_counter()  # repro: noqa[DET002]
-            trace = cached_trace(step_workload, self.system, self.ordering, self.constraints)
-            kwargs = {} if self.max_cycles is None else {"max_cycles": self.max_cycles}
-            result = simulate(
-                self.system,
-                self.policy,
-                trace=trace,
-                label=f"serve-step[b={batch}]",
-                **kwargs,
+            cycles = self._memo[batch, context_tokens] = self._table_cycles(
+                batch, context_tokens
             )
-            cycles = result.cycles
-            self._table[key] = cycles
-            self.simulations += 1
-            self.build_wall_s += time.perf_counter() - build_start  # repro: noqa[DET002]
         else:
             self.hits += 1
+        return cycles
+
+    def _table_cycles(self, batch: int, context_tokens: int) -> int:
+        """Cycles of a memo miss: the bucket's table entry, simulated once."""
+
+        step_workload = self.batched_workload(batch, context_tokens)
+        key = (batch, step_workload.shape.seq_len)
+        cycles = self._table.get(key)
+        if cycles is not None:
+            self.hits += 1
+            return cycles
+        # Wall-clock profiling of table builds only; build_wall_s feeds
+        # the debug-log profile and is never serialized into metrics.
+        build_start = time.perf_counter()  # repro: noqa[DET002]
+        trace = cached_trace(step_workload, self.system, self.ordering, self.constraints)
+        kwargs = {} if self.max_cycles is None else {"max_cycles": self.max_cycles}
+        result = simulate(
+            self.system,
+            self.policy,
+            trace=trace,
+            label=f"serve-step[b={batch}]",
+            **kwargs,
+        )
+        cycles = self._table[key] = result.cycles
+        self.simulations += 1
+        self.build_wall_s += time.perf_counter() - build_start  # repro: noqa[DET002]
         return cycles
 
     def prefill_chunk_blocks(self, tokens: int) -> int:
@@ -228,7 +240,7 @@ class SimStepCostModel(StepCostModel):
         like one decode request's KV-head groups at context C.  (Tiles of one
         prompt share a KV cache where batched decodes stream disjoint ones, so
         this slightly overprices prefill DRAM traffic -- acceptable, and it
-        keeps prefill and decode in one ``(batch, seq-bucket)`` memo table.)
+        keeps prefill and decode in one ``(batch, seq-bucket)`` table.)
         Chunks wider than :data:`PREFILL_MAX_BLOCKS` blocks are priced as
         whole multiples of the capped shape, so arbitrarily long prompts cost
         proportionally more without ever growing the simulated trace.

@@ -4,6 +4,8 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.config.policies import (
+    ARBITRATION_LABELS,
+    THROTTLE_LABELS,
     ArbitrationKind,
     ContentionLevel,
     ContentionThresholds,
@@ -99,25 +101,46 @@ class TestBaselineParams:
             MshrAwareParams(hit_buffer_size=0).validate()
 
 
+#: Every (throttle, arbitration) pair with its paper-legend label.
+LEGEND_LABELS = [
+    (ThrottleKind.NONE, ArbitrationKind.FCFS, "unopt"),
+    (ThrottleKind.DYNMG, ArbitrationKind.FCFS, "dynmg"),
+    (ThrottleKind.DYNCTA, ArbitrationKind.FCFS, "dyncta"),
+    (ThrottleKind.LCS, ArbitrationKind.FCFS, "lcs"),
+    (ThrottleKind.DYNMG, ArbitrationKind.BALANCED, "dynmg+B"),
+    (ThrottleKind.DYNMG, ArbitrationKind.MSHR_AWARE, "dynmg+MA"),
+    (ThrottleKind.DYNMG, ArbitrationKind.BALANCED_MSHR_AWARE, "dynmg+BMA"),
+    (ThrottleKind.NONE, ArbitrationKind.COBRRA, "cobrra"),
+    (ThrottleKind.DYNMG, ArbitrationKind.COBRRA, "dynmg+cobrra"),
+    (ThrottleKind.NONE, ArbitrationKind.BALANCED, "B"),
+    (ThrottleKind.NONE, ArbitrationKind.MSHR_AWARE, "MA"),
+    (ThrottleKind.NONE, ArbitrationKind.BALANCED_MSHR_AWARE, "BMA"),
+    (ThrottleKind.DYNCTA, ArbitrationKind.BALANCED, "dyncta+B"),
+    (ThrottleKind.DYNCTA, ArbitrationKind.MSHR_AWARE, "dyncta+MA"),
+    (ThrottleKind.DYNCTA, ArbitrationKind.BALANCED_MSHR_AWARE, "dyncta+BMA"),
+    (ThrottleKind.DYNCTA, ArbitrationKind.COBRRA, "dyncta+cobrra"),
+    (ThrottleKind.LCS, ArbitrationKind.BALANCED, "lcs+B"),
+    (ThrottleKind.LCS, ArbitrationKind.MSHR_AWARE, "lcs+MA"),
+    (ThrottleKind.LCS, ArbitrationKind.BALANCED_MSHR_AWARE, "lcs+BMA"),
+    (ThrottleKind.LCS, ArbitrationKind.COBRRA, "lcs+cobrra"),
+]
+
+
 class TestPolicyConfigLabels:
     """Labels must match the paper's legends so experiment output reads like the paper."""
 
-    @pytest.mark.parametrize(
-        "throttle,arbitration,label",
-        [
-            (ThrottleKind.NONE, ArbitrationKind.FCFS, "unopt"),
-            (ThrottleKind.DYNMG, ArbitrationKind.FCFS, "dynmg"),
-            (ThrottleKind.DYNCTA, ArbitrationKind.FCFS, "dyncta"),
-            (ThrottleKind.LCS, ArbitrationKind.FCFS, "lcs"),
-            (ThrottleKind.DYNMG, ArbitrationKind.BALANCED, "dynmg+B"),
-            (ThrottleKind.DYNMG, ArbitrationKind.MSHR_AWARE, "dynmg+MA"),
-            (ThrottleKind.DYNMG, ArbitrationKind.BALANCED_MSHR_AWARE, "dynmg+BMA"),
-            (ThrottleKind.NONE, ArbitrationKind.COBRRA, "cobrra"),
-            (ThrottleKind.DYNMG, ArbitrationKind.COBRRA, "dynmg+cobrra"),
-        ],
-    )
+    @pytest.mark.parametrize("throttle,arbitration,label", LEGEND_LABELS)
     def test_labels(self, throttle, arbitration, label):
         assert PolicyConfig(throttle=throttle, arbitration=arbitration).label == label
+
+    def test_every_policy_pair_has_a_distinct_label(self):
+        pairs = {(throttle, arbitration) for throttle, arbitration, _ in LEGEND_LABELS}
+        assert pairs == {(t, a) for t in ThrottleKind for a in ArbitrationKind}
+        assert len({label for _, _, label in LEGEND_LABELS}) == len(LEGEND_LABELS) == 20
+
+    def test_label_tables_cover_every_enum_member(self):
+        assert set(THROTTLE_LABELS) == set(ThrottleKind)
+        assert set(ARBITRATION_LABELS) == set(ArbitrationKind)
 
     def test_fluent_builders(self):
         policy = PolicyConfig().with_throttle(ThrottleKind.DYNMG).with_arbitration(
