@@ -12,7 +12,10 @@ core's active working set and its memory-request rate.
 
 A core whose tick changed nothing but a stall counter *parks*: its next tick
 would reach the same outcome, so the system loop charges that counter directly
-instead of ticking it (see :attr:`VectorCore.parked`).
+instead of ticking it (see :attr:`VectorCore.parked`).  A core parked on
+compute knows when that outcome changes -- its earliest
+``compute_ready_cycle`` -- and is ticked again from that cycle on
+(:attr:`VectorCore.wake_cycle`).
 """
 
 from __future__ import annotations
@@ -57,12 +60,17 @@ class VectorCore:
         self._rr_pointer = 0
         self._req_window: dict[int, int] = {}
         #: Set after a tick that only charged ``stat_mem_stall_cycles`` (or
-        #: ``stat_idle_cycles`` when ``parked_idle``): until a wake event the
-        #: next tick would do the same, so the system loop charges the counter
-        #: in its place.  Cleared by :meth:`receive`, :meth:`set_max_running_blocks`
-        #: and :meth:`wake` (the NoC's back-pressure release).
+        #: ``stat_idle_cycles`` when ``parked_idle``, or ``stat_compute_cycles``
+        #: when ``wake_cycle`` is set): until a wake event the next tick would do
+        #: the same, so the system loop charges the counter in its place.
+        #: Cleared by :meth:`receive`, :meth:`set_max_running_blocks` and
+        #: :meth:`wake` (the NoC's back-pressure release).
         self.parked = False
         self.parked_idle = False
+        #: Compute park only: the earliest ``compute_ready_cycle`` of the
+        #: windows that returned "compute", from which the system loop ticks the
+        #: core again; 0 when the core is not parked on compute.
+        self.wake_cycle = 0
 
         # -- statistics (cumulative; controllers take period deltas) --------------------
         self.stat_issued_requests = 0
@@ -81,7 +89,7 @@ class VectorCore:
     # ------------------------------------------------------------------------------
     def set_max_running_blocks(self, value: int) -> None:
         self.max_running_blocks = max(1, min(self.config.num_inst_windows, value))
-        self.parked = False
+        self.wake()
 
     def adjust_max_running_blocks(self, delta: int) -> None:
         self.set_max_running_blocks(self.max_running_blocks + delta)
@@ -90,7 +98,7 @@ class VectorCore:
     # interconnect interface: response delivery and back-pressure wake-ups
     # ------------------------------------------------------------------------------
     def receive(self, resp: MemResponse, cycle: int) -> None:
-        self.parked = False
+        self.wake()
         window_id = self._req_window.pop(resp.req_id, None)
         if window_id is not None:
             window = self.windows[window_id]
@@ -103,6 +111,7 @@ class VectorCore:
         """Unpark: an event may have changed the outcome of the next tick."""
 
         self.parked = False
+        self.wake_cycle = 0
 
     # ------------------------------------------------------------------------------
     # per-cycle execution
@@ -129,7 +138,7 @@ class VectorCore:
             return
 
         issued = 0
-        blocked_on_compute = False
+        ready = 0  # earliest compute_ready_cycle of the compute-blocked windows
         n = len(running)
         rr = self._rr_pointer
         for k in range(n):
@@ -141,13 +150,21 @@ class VectorCore:
                 if issued >= self.config.issue_width:
                     break
             elif result == "compute":
-                blocked_on_compute = True
+                window_ready = window.compute_ready_cycle
+                if not ready or window_ready < ready:
+                    ready = window_ready
 
         if issued:
             self.stat_active_cycles += 1
             self.stat_issued_requests += issued
-        elif blocked_on_compute:
+        elif ready:
             self.stat_compute_cycles += 1
+            if not changed:
+                # Every running window was tried: each waits on compute until
+                # its ready cycle, or on memory until a wake event.
+                self.parked = True
+                self.parked_idle = False
+                self.wake_cycle = ready
         else:
             self.stat_mem_stall_cycles += 1
             if not changed:

@@ -69,19 +69,6 @@ class DramChannel:
         self.queue.append(txn)
         return True
 
-    def next_event_cycle(self) -> int | None:
-        """Earliest cycle at which this channel needs to be ticked again."""
-
-        candidates = []
-        if self.in_flight:
-            candidates.append(self.in_flight[0][0])
-        if self.queue:
-            # A queued transaction can potentially issue as soon as the bus frees.
-            candidates.append(self.bus_free_cycle)
-        if not candidates:
-            return None
-        return min(candidates)
-
     # -- scheduling ------------------------------------------------------------------
     def _pick_fr_fcfs(self, cycle: int) -> int:
         """FR-FCFS: oldest row-buffer hit first, otherwise the oldest request."""

@@ -110,11 +110,6 @@ class DramSystem:
     def has_work(self) -> bool:
         return any(channel.has_work for channel in self.channels)
 
-    def next_event_cycle(self) -> int | None:
-        events = [c.next_event_cycle() for c in self.channels]
-        events = [e for e in events if e is not None]
-        return min(events) if events else None
-
     # -- statistics --------------------------------------------------------------------
     def stats(self) -> DramStats:
         reads = sum(c.reads for c in self.channels)

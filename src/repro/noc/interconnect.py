@@ -154,13 +154,3 @@ class Interconnect:
 
     def has_work(self) -> bool:
         return bool(self._req_in_flight or self._resp_in_flight) or any(self._staging)
-
-    def next_event_cycle(self) -> int | None:
-        candidates = []
-        if self._req_in_flight:
-            candidates.append(self._req_in_flight[0][0])
-        if self._resp_in_flight:
-            candidates.append(self._resp_in_flight[0][0])
-        if any(self._staging):
-            return None  # staged requests retry every cycle (waiting on queue space)
-        return min(candidates) if candidates else None

@@ -91,10 +91,17 @@ class SimulatedSystem:
 
         self.llc.tick(cycle)
         self.noc.tick(cycle, self._slice_sinks, self._core_sinks, self._core_wakes)
-        # A parked core's tick would only charge the same stall counter again.
+        # A parked core's tick would only charge the same stall counter again;
+        # a compute-parked one is ticked again from its wake cycle on.
         for core in self.cores:
             if not core.parked:
                 core.tick(cycle)
+            elif core.wake_cycle:
+                if cycle < core.wake_cycle:
+                    core.stat_compute_cycles += 1
+                else:
+                    core.wake()
+                    core.tick(cycle)
             elif core.parked_idle:
                 core.stat_idle_cycles += 1
             else:

@@ -1,16 +1,22 @@
 """Core parking: a core whose tick only charged a stall counter is not ticked
-again until a wake event, while its counters stay exact on every cycle."""
+again until a wake event (or, parked on compute, its wake cycle), while its
+counters stay exact on every cycle."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.common.address import AddressMap
-from repro.common.types import MemRequest, MemResponse
+from repro.common.types import AccessType, MemRequest, MemResponse, TraceEntry
+from repro.config.policies import PolicyConfig
 from repro.config.system import CoreConfig, L1Config, NoCConfig
 from repro.cores.core import VectorCore
 from repro.cores.l1 import L1Cache
 from repro.cores.scheduler import ThreadBlockScheduler
 from repro.noc.interconnect import Interconnect
+from repro.sim.system import SimulatedSystem
 from repro.trace.synthetic import make_stream_trace
+from repro.trace.threadblock import ThreadBlock, Trace
 
 
 class ParkingHarness:
@@ -162,3 +168,90 @@ class TestParking:
         h.run(100)
         assert len(h.tick_cycles) == ticks
         assert h.core.stat_idle_cycles == idle + 100
+
+
+COMPUTE_CYCLES = 40
+
+
+class ComputeParkHarness:
+    """One single-window core of the tiny system running one thread block: a
+    pure-compute bubble (issued on cycle 0 with its refill), then a read that
+    waits ``COMPUTE_CYCLES`` cycles of compute, charged on cycle 1."""
+
+    charge_cycle = 1
+
+    def __init__(self, tiny_system):
+        system_cfg = replace(
+            tiny_system, core=replace(tiny_system.core, num_cores=1, num_inst_windows=1)
+        )
+        entries = [
+            TraceEntry(compute_cycles=0, addr=-1),
+            TraceEntry(compute_cycles=COMPUTE_CYCLES, addr=0x1000),
+        ]
+        trace = Trace(blocks=[ThreadBlock(tb_id=0, h=0, g=0, tile_index=0, entries=entries)])
+        self.system = SimulatedSystem(system_cfg, PolicyConfig().validate(), trace.validate())
+        self.core = self.system.cores[0]
+        self.cycle = 0
+
+    def step(self) -> None:
+        self.system.step(self.cycle)
+        self.cycle += 1
+
+    def park(self) -> None:
+        """Step through the charging tick; the core must park on compute."""
+
+        while self.cycle <= self.charge_cycle:
+            self.step()
+        assert self.core.parked and not self.core.parked_idle
+        assert self.core.wake_cycle == self.charge_cycle + COMPUTE_CYCLES
+
+
+class TestComputePark:
+    def test_charging_tick_parks_until_the_compute_ready_cycle(self, tiny_system):
+        h = ComputeParkHarness(tiny_system)
+        h.park()
+        assert h.core.windows[0].compute_ready_cycle == h.core.wake_cycle
+
+    def test_receive_clears_the_park(self, tiny_system):
+        h = ComputeParkHarness(tiny_system)
+        h.park()
+        h.core.receive(
+            MemResponse(req_id=-1, core_id=0, tb_id=0, line_addr=0, rw=AccessType.WRITE,
+                        complete_cycle=h.cycle),
+            h.cycle,
+        )
+        assert not h.core.parked and h.core.wake_cycle == 0
+        h.step()                                   # the woken tick parks again
+        assert h.core.wake_cycle == h.charge_cycle + COMPUTE_CYCLES
+
+    def test_wake_clears_the_park(self, tiny_system):
+        h = ComputeParkHarness(tiny_system)
+        h.park()
+        h.core.wake()
+        assert not h.core.parked and h.core.wake_cycle == 0
+
+    def test_throttle_limit_change_clears_the_park(self, tiny_system):
+        h = ComputeParkHarness(tiny_system)
+        h.park()
+        h.core.set_max_running_blocks(1)
+        assert not h.core.parked and h.core.wake_cycle == 0
+
+    def test_system_step_charges_exactly_the_compute_cycles(self, tiny_system):
+        h = ComputeParkHarness(tiny_system)
+        h.park()
+        noc = h.system.noc
+        ticks = []
+        original = h.core.tick
+
+        def counted(cycle):
+            ticks.append(cycle)
+            original(cycle)
+
+        h.core.tick = counted
+        while noc.requests_sent == 0:
+            h.step()
+        issue_cycle = h.cycle - 1
+        assert issue_cycle == h.charge_cycle + COMPUTE_CYCLES
+        assert ticks == [issue_cycle]              # parked until the wake cycle
+        assert h.core.stat_compute_cycles == COMPUTE_CYCLES
+        assert not h.core.parked and h.core.wake_cycle == 0

@@ -152,9 +152,8 @@ class TestSystemIntegration:
             1 / system.dram_cycles_per_core_cycle, rel=1e-6
         )
 
-    def test_next_event_and_has_work(self):
+    def test_has_work(self):
         dram = make_dram()
         assert not dram.has_work()
-        assert dram.next_event_cycle() is None
         dram.enqueue(0x1000, False, None, 0)
         assert dram.has_work()

@@ -5,7 +5,9 @@ engine runs it; the other has every core's and slice's ``parked`` flag
 cleared before each step, so every component ticks on every cycle -- the
 behaviour before parking existed.  After every cycle the progress signature
 and every stall counter a throttle controller reads must agree, and at the
-end the serialized results must be identical.
+end the serialized results must be identical.  Compute-parked cores (a timed
+wake at ``wake_cycle``) are counted apart from memory and idle parks, so a
+test can assert that the timed wake really happened.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ _FINISH_CHECK_INTERVAL = 64
 def unpark(system: SimulatedSystem) -> None:
     for core in system.cores:
         core.parked = False
+        core.wake_cycle = 0
     for llc_slice in system.llc.slices:
         llc_slice.parked = False
 
@@ -60,7 +63,7 @@ def observed(system: SimulatedSystem) -> tuple:
         progress_signature(system),
         tuple(
             (c.stat_mem_stall_cycles, c.stat_idle_cycles, c.stat_active_cycles,
-             c.max_running_blocks)
+             c.stat_compute_cycles, c.max_running_blocks)
             for c in system.cores
         ),
         tuple((s.stall_cycles, s.busy_cycles) for s in system.llc.slices),
@@ -74,9 +77,14 @@ def lockstep(system_cfg, policy, trace, max_cycles=200_000) -> dict:
     reference = Simulator(system_cfg, policy, trace)
     reference.system = UnparkedSystem(system_cfg, policy, trace)
     a, b = parked.system, reference.system
-    parked_core_cycles = parked_slice_cycles = 0
+    parked_core_cycles = compute_parked_core_cycles = parked_slice_cycles = 0
     for cycle in range(max_cycles):
-        parked_core_cycles += sum(core.parked for core in a.cores)
+        for core in a.cores:
+            if core.parked:
+                if core.wake_cycle:
+                    compute_parked_core_cycles += 1
+                else:
+                    parked_core_cycles += 1
         parked_slice_cycles += sum(s.parked for s in a.llc.slices)
         a.step(cycle)
         b.step(cycle)
@@ -90,7 +98,8 @@ def lockstep(system_cfg, policy, trace, max_cycles=200_000) -> dict:
         pytest.fail(f"did not finish within {max_cycles} cycles")
     cycles = cycle + 1
     assert parked._collect(cycles).to_dict() == reference._collect(cycles).to_dict()
-    return {"cores": parked_core_cycles, "slices": parked_slice_cycles}
+    return {"cores": parked_core_cycles, "compute": compute_parked_core_cycles,
+            "slices": parked_slice_cycles}
 
 
 def small_workload(operator: OperatorKind, seq_len: int) -> WorkloadConfig:
@@ -111,6 +120,16 @@ def test_fig7_policies_match_the_unparked_reference(tiny_system, operator, label
     trace = generate_trace(small_workload(operator, SMALL_SEQ_LEN[operator]), tiny_system)
     parked = lockstep(tiny_system, resolve_policy(label), trace)
     assert parked["cores"] > 0
+    if operator is OperatorKind.ATTEND:
+        assert parked["compute"] > 0
+
+
+def test_ci_tier_attend_point_matches():
+    scenario = Scenario.create("llama3-70b-attend", "dynmg+BMA", seq_len=2048)
+    system_cfg, workload, policy = scenario.resolve()
+    parked = lockstep(system_cfg, policy, generate_trace(workload, system_cfg))
+    assert parked["cores"] > 0
+    assert parked["compute"] > 0
 
 
 def test_previously_livelocked_cobrra_point_matches():
