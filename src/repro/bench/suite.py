@@ -15,6 +15,8 @@ lower-is-better, ``count`` is informational.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.bench.registry import BenchOutput, BenchValue, register_bench
 from repro.cluster import ClusterScenario
 from repro.config.scale import ScaleTier
@@ -37,6 +39,14 @@ def _tiered(config: dict, tier: ScaleTier) -> dict:
     return {**config, "tier": tier.name}
 
 
+#: The scenario knobs a serving bench records as its trend config.
+_TRAFFIC = ("workload", "arrival", "rate", "num_requests", "max_batch", "seed")
+
+
+def _knobs(scenario, *names: str) -> dict:
+    return {name: getattr(scenario, name) for name in names}
+
+
 # -- serving stack -----------------------------------------------------------------------
 @register_bench("serve_throughput")
 def serve_throughput(tier: ScaleTier) -> BenchOutput:
@@ -54,17 +64,7 @@ def serve_throughput(tier: ScaleTier) -> BenchOutput:
     metrics = scenario.run()
     return BenchOutput(
         bench="serve_throughput",
-        config=_tiered(
-            {
-                "workload": scenario.workload,
-                "arrival": scenario.arrival,
-                "rate": scenario.rate,
-                "num_requests": scenario.num_requests,
-                "max_batch": scenario.max_batch,
-                "seed": scenario.seed,
-            },
-            tier,
-        ),
+        config=_tiered(_knobs(scenario, *_TRAFFIC), tier),
         values=(
             BenchValue("tokens_per_s", metrics.tokens_per_s, "tokens/s"),
             BenchValue("latency_p50_ms", metrics.latency_percentile_ms(50), "ms"),
@@ -94,19 +94,7 @@ def cluster_throughput(tier: ScaleTier) -> BenchOutput:
     metrics = scenario.run()
     return BenchOutput(
         bench="cluster_throughput",
-        config=_tiered(
-            {
-                "workload": scenario.workload,
-                "arrival": scenario.arrival,
-                "rate": scenario.rate,
-                "num_requests": scenario.num_requests,
-                "replicas": scenario.replicas,
-                "router": scenario.router,
-                "max_batch": scenario.max_batch,
-                "seed": scenario.seed,
-            },
-            tier,
-        ),
+        config=_tiered(_knobs(scenario, *_TRAFFIC, "replicas", "router"), tier),
         values=(
             BenchValue("tokens_per_s", metrics.tokens_per_s, "tokens/s"),
             BenchValue("latency_p50_ms", metrics.latency_percentile_ms(50), "ms"),
@@ -123,19 +111,17 @@ def prefill_schedulers(tier: ScaleTier) -> BenchOutput:
     """TTFT/TPOT trade-off across decode-first, prefill-first and chunked."""
 
     schedulers = ("decode-first", "prefill-first", "chunked")
-    results = {}
-    for name in schedulers:
-        results[name] = ServeScenario(
-            workload="llama3-70b",
-            arrival="bursty",
-            rate=4000.0,
-            num_requests=24,
-            max_batch=4,
-            seed=0,
-            scheduler=name,
-            prefill_chunk=256,
-            tier=tier,
-        ).validate().run()
+    base = ServeScenario(
+        workload="llama3-70b",
+        arrival="bursty",
+        rate=4000.0,
+        num_requests=24,
+        max_batch=4,
+        seed=0,
+        prefill_chunk=256,
+        tier=tier,
+    )
+    results = {name: replace(base, scheduler=name).validate().run() for name in schedulers}
     values = []
     for name, metrics in results.items():
         key = name.replace("-", "_")
@@ -151,21 +137,10 @@ def prefill_schedulers(tier: ScaleTier) -> BenchOutput:
         f"tpot {m.mean_tpot_ms:.4f} ms, {m.tokens_per_s:.0f} tok/s"
         for name, m in results.items()
     )
+    config = _knobs(base, *_TRAFFIC, "prefill_chunk") | {"schedulers": list(schedulers)}
     return BenchOutput(
         bench="prefill_schedulers",
-        config=_tiered(
-            {
-                "workload": "llama3-70b",
-                "arrival": "bursty",
-                "rate": 4000.0,
-                "num_requests": 24,
-                "max_batch": 4,
-                "seed": 0,
-                "schedulers": list(schedulers),
-                "prefill_chunk": 256,
-            },
-            tier,
-        ),
+        config=_tiered(config, tier),
         values=tuple(values),
         detail=detail,
         raw=results,
@@ -177,20 +152,18 @@ def kv_preemption(tier: ScaleTier) -> BenchOutput:
     """Recompute vs swap preemption under a deliberately tight KV budget."""
 
     policies = ("recompute", "swap")
-    results = {}
-    for name in policies:
-        results[name] = ServeScenario(
-            workload="llama3-70b",
-            arrival="poisson",
-            rate=4000.0,
-            num_requests=8,
-            max_batch=4,
-            seed=0,
-            kv_budget=1024,
-            kv_block=32,
-            preemption=name,
-            tier=tier,
-        ).validate().run()
+    base = ServeScenario(
+        workload="llama3-70b",
+        arrival="poisson",
+        rate=4000.0,
+        num_requests=8,
+        max_batch=4,
+        seed=0,
+        kv_budget=1024,
+        kv_block=32,
+        tier=tier,
+    )
+    results = {name: replace(base, preemption=name).validate().run() for name in policies}
     values = []
     for name, metrics in results.items():
         values.append(
@@ -210,22 +183,10 @@ def kv_preemption(tier: ScaleTier) -> BenchOutput:
         f"{m.tokens_per_s:.0f} tok/s"
         for name, m in results.items()
     )
+    config = _knobs(base, *_TRAFFIC, "kv_budget", "kv_block") | {"preemptions": list(policies)}
     return BenchOutput(
         bench="kv_preemption",
-        config=_tiered(
-            {
-                "workload": "llama3-70b",
-                "arrival": "poisson",
-                "rate": 4000.0,
-                "num_requests": 8,
-                "max_batch": 4,
-                "seed": 0,
-                "kv_budget": 1024,
-                "kv_block": 32,
-                "preemptions": list(policies),
-            },
-            tier,
-        ),
+        config=_tiered(config, tier),
         values=tuple(values),
         detail=detail,
         raw=results,

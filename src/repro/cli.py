@@ -38,7 +38,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import Any
 
 from repro.analysis import (
     RngJitterArrival,
@@ -81,10 +82,9 @@ from repro.registry import (
     THROTTLES,
     WORKLOADS,
 )
-from repro.serve.kvcache import DEFAULT_SWAP_MS
+from repro.serve.knobs import add_flags, from_args, given, sweep_grid
 from repro.serve.metrics import REPORTED_PERCENTILES
-from repro.serve.scenario import DEFAULT_SCHEDULER, ServeScenario
-from repro.serve.schedpolicy import DEFAULT_PREFILL_CHUNK
+from repro.serve.scenario import DEFAULT_WORKLOAD, ServeScenario
 from repro.sweep.executor import run_sweep
 from repro.sweep.spec import FIG9_POLICY_LABELS, Grid
 from repro.sweep.store import ResultStore
@@ -105,11 +105,13 @@ LISTABLE_REGISTRIES = {
 #: Default noise threshold of ``llamcat bench --compare`` (percent).
 BENCH_COMPARE_THRESHOLD_PCT = 10.0
 
-#: Defaults of the serving sweep's traffic axis (requests/s).
-SERVE_SWEEP_RATES = (1000.0, 2000.0, 4000.0)
+#: What ``--smoke`` sets on top of the serve/cluster flags (``max_batch`` is
+#: an upper bound); ``check --determinism`` runs the same smoke shapes.
+SMOKE = {"tier": "smoke", "num_requests": 8, "max_batch": 2}
 
-#: Defaults of the cluster sweep's fleet-size axis.
-CLUSTER_SWEEP_REPLICAS = (2, 4)
+#: Sweep flags the kernel grid reads too: written by hand below, with the
+#: field name as dest, so the serving grid picks them up as well.
+KERNEL_SWEEP_KNOBS = frozenset({"workload", "policy", "tier", "max_cycles"})
 
 logger = logging.getLogger(__name__)
 
@@ -144,85 +146,10 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
         help="write a Chrome trace_event JSON of the run (open in Perfetto)",
     )
     parser.add_argument(
-        "--telemetry", type=float, default=None, metavar="MS",
-        help="sample queue depth / batch size / utilization every MS simulated "
-             "milliseconds and print an ASCII timeline",
-    )
-    parser.add_argument(
         "--metrics-sketch", action="store_true",
         help="compute latency percentiles from merged log-bucketed histograms "
              "(fixed memory, bounded relative error) instead of exact "
              "per-request sample lists",
-    )
-
-
-def _add_prefill_args(parser: argparse.ArgumentParser) -> None:
-    """The prefill-scheduling knobs shared by ``serve`` and ``cluster``."""
-
-    parser.add_argument(
-        "--scheduler", default=DEFAULT_SCHEDULER,
-        help='registered step-planning policy, e.g. "decode-first", '
-             '"prefill-first", "chunked"',
-    )
-    parser.add_argument(
-        "--prefill-chunk", type=int, default=DEFAULT_PREFILL_CHUNK,
-        help="token budget of one chunked-prefill iteration "
-             "(chunked scheduler only)",
-    )
-    parser.add_argument(
-        "--no-prefill-cost", dest="prefill_cost", action="store_false",
-        help="treat prompts as free (the legacy decode-only timeline)",
-    )
-
-
-def _kv_budget_value(text: str) -> int | str:
-    """Parse a ``--kv-budget`` value: a token count or the literal "system"."""
-
-    if text == "system":
-        return text
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f'expected a token count or "system", got {text!r}'
-        ) from None
-    if budget <= 0:
-        raise argparse.ArgumentTypeError("KV budget must be a positive token count")
-    return budget
-
-
-def _add_kv_args(parser: argparse.ArgumentParser, *, sweep: bool = False) -> None:
-    """The KV-memory knobs shared by ``serve`` and ``cluster``.
-
-    With ``sweep=True`` the budget / block-size / policy flags become
-    repeatable sweep axes (plural dests matching the sweep-spec fields).
-    """
-
-    axis = " (repeatable sweep axis)" if sweep else ""
-    many: dict = {"action": "append"} if sweep else {}
-    parser.add_argument(
-        "--kv-budget", type=_kv_budget_value, default=None, metavar="TOKENS",
-        dest="kv_budgets" if sweep else "kv_budget",
-        help='KV-cache budget in tokens, or "system" to take the preset\'s '
-             f"device budget; omit to keep KV accounting off{axis}",
-        **many,
-    )
-    parser.add_argument(
-        "--kv-block", type=int, default=None if sweep else 1, metavar="TOKENS",
-        dest="kv_blocks" if sweep else "kv_block",
-        help=f"paged-KV block size in tokens (default 1 = exact accounting){axis}",
-        **many,
-    )
-    parser.add_argument(
-        "--preemption", default=None if sweep else "recompute",
-        dest="preemptions" if sweep else "preemption",
-        help='registered preemption policy, e.g. "recompute", "swap" '
-             f"(used when the KV budget is exhausted){axis}",
-        **many,
-    )
-    parser.add_argument(
-        "--kv-swap-ms", type=float, default=DEFAULT_SWAP_MS,
-        help="one-way KV transfer latency of the swap preemption policy (ms)",
     )
 
 
@@ -245,107 +172,38 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--system", default="table5", help="registered system name")
     run_p.add_argument("--tier", default="ci")
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="simulate serving a request stream (continuous batching, SLO metrics)",
-    )
-    serve_p.add_argument(
-        "--workload", "--model", dest="workload", default="llama3-70b",
-        help="registered workload name (e.g. llama3-70b-decode)",
-    )
-    serve_p.add_argument(
-        "--arrival", default="poisson",
-        help='registered arrival process, e.g. "poisson", "bursty", "closed-loop"',
-    )
-    serve_p.add_argument(
-        "--rate", type=float, default=2000.0,
-        help="requests/s (open-loop) or user population (closed-loop)",
-    )
-    serve_p.add_argument("--num-requests", type=int, default=32)
-    serve_p.add_argument("--max-batch", type=int, default=4)
-    serve_p.add_argument("--seed", type=int, default=0)
-    serve_p.add_argument("--policy", default="unopt")
-    _add_prefill_args(serve_p)
-    _add_kv_args(serve_p)
-    serve_p.add_argument("--system", default="table5", help="registered system name")
-    serve_p.add_argument("--tier", default="ci")
-    serve_p.add_argument("--slo-ttft-ms", type=float, default=None)
-    serve_p.add_argument("--slo-latency-ms", type=float, default=None)
-    serve_p.add_argument(
-        "--smoke", action="store_true",
-        help="fast CI preset: smoke tier, 8 requests, batch <= 2",
-    )
-    _add_obs_args(serve_p)
-
-    cluster_p = sub.add_parser(
-        "cluster",
-        help="simulate a multi-replica serving fleet behind a pluggable router",
-    )
-    cluster_p.add_argument(
-        "--workload", "--model", dest="workload", default="llama3-70b",
-        help="registered workload name (e.g. llama3-70b-decode)",
-    )
-    cluster_p.add_argument(
-        "--arrival", default="poisson",
-        help='registered arrival process, e.g. "poisson", "bursty", "closed-loop"',
-    )
-    cluster_p.add_argument(
-        "--rate", type=float, default=2000.0,
-        help="requests/s (open-loop) or user population (closed-loop)",
-    )
-    cluster_p.add_argument("--num-requests", type=int, default=32)
-    cluster_p.add_argument("--replicas", type=int, default=2,
-                           help="fleet size (accelerator replicas)")
-    cluster_p.add_argument(
-        "--router", default="round-robin",
-        help='registered router, e.g. "round-robin", "least-outstanding", '
-             '"join-shortest-queue", "weighted"',
-    )
-    cluster_p.add_argument("--max-batch", type=int, default=4,
-                           help="per-replica continuous-batching bound")
-    cluster_p.add_argument("--seed", type=int, default=0)
-    cluster_p.add_argument("--policy", default="unopt")
-    _add_prefill_args(cluster_p)
-    _add_kv_args(cluster_p)
-    cluster_p.add_argument(
-        "--disaggregated", nargs="?", const="1p1d", default=None, metavar="PpDd",
-        help='split the fleet into prefill and decode replicas, e.g. "2p2d" '
-             "(replica count follows the spec; bare flag means 1p1d)",
-    )
-    cluster_p.add_argument(
-        "--kv-transfer-ms", type=float, default=0.0,
-        help="KV-cache transfer latency of one prefill-to-decode handoff",
-    )
-    cluster_p.add_argument(
-        "--system", action="append", dest="systems",
-        help="repeatable system preset; one name is broadcast to every "
-             "replica, N names give a heterogeneous fleet (default: table5)",
-    )
-    cluster_p.add_argument("--tier", default="ci")
-    cluster_p.add_argument("--slo-ttft-ms", type=float, default=None)
-    cluster_p.add_argument("--slo-latency-ms", type=float, default=None)
-    cluster_p.add_argument(
-        "--smoke", action="store_true",
-        help="fast CI preset: smoke tier, 8 requests, 2 replicas, batch <= 2",
-    )
-    _add_obs_args(cluster_p)
+    for name, cls, help_text, smoke in (
+        ("serve", ServeScenario,
+         "simulate serving a request stream (continuous batching, SLO metrics)", ""),
+        ("cluster", ClusterScenario,
+         "simulate a multi-replica serving fleet behind a pluggable router", "2 replicas, "),
+    ):
+        serving_p = sub.add_parser(name, help=help_text)
+        add_flags(serving_p, (cls,))
+        serving_p.add_argument(
+            "--smoke", action="store_true",
+            help=f"fast CI preset: smoke tier, 8 requests, {smoke}batch <= 2",
+        )
+        _add_obs_args(serving_p)
 
     sweep_p = sub.add_parser(
         "sweep",
         help="run a grid of simulation points in parallel (Fig 9-style by default)",
     )
     sweep_p.add_argument(
-        "--model", action="append", dest="models",
-        help="repeatable; default: llama3-70b and llama3-405b",
+        "--model", action="append", dest="workload",
+        help="repeatable; default: llama3-70b and llama3-405b "
+             f"({DEFAULT_WORKLOAD} with --serve/--cluster)",
     )
     sweep_p.add_argument(
         "--seq-len", type=int, action="append", dest="seq_lens",
         help=f"repeatable; default: {FIG9_SEQ_LEN}",
     )
     sweep_p.add_argument(
-        "--policy", action="append", dest="policies",
+        "--policy", action="append", dest="policy",
         help='repeatable paper-style labels, e.g. "unopt", "dynmg+BMA"; '
-             "the first is the speedup baseline (default: the Fig 9 legend)",
+             "the first is the speedup baseline (default: the Fig 9 legend; "
+             '"unopt" with --serve/--cluster)',
     )
     sweep_p.add_argument(
         "--l2-mib", type=int, action="append", dest="l2_mib",
@@ -361,42 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep cluster points (workloads x arrivals x rates x replicas x "
              "routers x policies) instead of kernel points",
     )
-    sweep_p.add_argument(
-        "--rate", type=float, action="append", dest="rates",
-        help=f"repeatable serving arrival rates (requests/s); "
-             f"default: {SERVE_SWEEP_RATES} (only with --serve/--cluster)",
-    )
-    sweep_p.add_argument(
-        "--arrival", action="append", dest="arrivals",
-        help='repeatable arrival-process names; default: "poisson" '
-             "(only with --serve/--cluster)",
-    )
-    sweep_p.add_argument(
-        "--scheduler", action="append", dest="schedulers",
-        help='repeatable step-planning policies, e.g. "decode-first", '
-             '"chunked"; default: "decode-first" (only with --serve/--cluster)',
-    )
-    sweep_p.add_argument(
-        "--prefill-chunk", type=int, action="append", dest="prefill_chunks",
-        help=f"repeatable chunked-prefill token budgets; default: "
-             f"{DEFAULT_PREFILL_CHUNK} (only with --serve/--cluster)",
-    )
-    sweep_p.add_argument(
-        "--replicas", type=int, action="append", dest="replica_counts",
-        help=f"repeatable fleet sizes; default: {CLUSTER_SWEEP_REPLICAS} "
-             "(only with --cluster)",
-    )
-    sweep_p.add_argument(
-        "--router", action="append", dest="routers",
-        help='repeatable router names; default: "round-robin" (only with --cluster)',
-    )
-    _add_kv_args(sweep_p, sweep=True)
-    sweep_p.add_argument("--num-requests", type=int, default=32,
-                         help="requests per serving point (only with --serve/--cluster)")
-    sweep_p.add_argument("--max-batch", type=int, default=4,
-                         help="continuous-batching bound (only with --serve/--cluster)")
-    sweep_p.add_argument("--seed", type=int, default=0,
-                         help="arrival-stream seed (only with --serve/--cluster)")
     sweep_p.add_argument("--tier", default="ci")
     sweep_p.add_argument("--jobs", type=int, default=1, help="worker processes")
     sweep_p.add_argument(
@@ -408,11 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument("--max-cycles", type=int, default=None)
     sweep_p.add_argument("--quiet", action="store_true", help="suppress per-point progress")
-    sweep_p.add_argument(
-        "--telemetry", type=float, default=None, metavar="MS",
-        help="sample telemetry every MS simulated milliseconds on every point "
-             "(only with --serve/--cluster; view via `llamcat timeline`)",
-    )
+    add_flags(sweep_p, (ServeScenario, ClusterScenario), sweep=True, skip=KERNEL_SWEEP_KNOBS)
 
     timeline_p = sub.add_parser(
         "timeline",
@@ -603,13 +421,25 @@ def _percentile_rows(metrics) -> list[dict]:
     return rows
 
 
-def _make_tracer(args: argparse.Namespace) -> ChromeTracer | None:
-    return ChromeTracer() if args.trace_out else None
+def _simulate(args: argparse.Namespace, scenario) -> tuple[ChromeTracer | None, Any]:
+    """Run a serve/cluster scenario with the observability flags; print its summary."""
+
+    tracer = ChromeTracer() if args.trace_out else None
+    profiler = Profiler()
+    metrics = scenario.run(tracer=tracer, profiler=profiler)
+    if args.metrics_sketch:
+        metrics = metrics.with_sketch()
+    logger.debug("profile:\n%s", profiler.summary())
+    print(metrics.summary())
+    print()
+    return tracer, metrics
 
 
-def _finish_obs(args: argparse.Namespace, tracer: ChromeTracer | None, metrics) -> None:
-    """Write the trace file and print the telemetry timeline, when asked for."""
+def _finish(args: argparse.Namespace, scenario, tracer: ChromeTracer | None, metrics) -> None:
+    """Print SLO attainment, write the trace and print the timeline, when asked for."""
 
+    if not scenario.slo().is_trivial:
+        print(f"SLO attainment: {metrics.slo_attainment:.1%}")
     if tracer is not None:
         tracer.write(args.trace_out)
         print(f"trace: {args.trace_out} ({len(tracer)} events)")
@@ -618,37 +448,17 @@ def _finish_obs(args: argparse.Namespace, tracer: ChromeTracer | None, metrics) 
         print(render_timeline(metrics.telemetry))
 
 
+def _smoke(args: argparse.Namespace) -> dict:
+    """The ``--smoke`` overrides (none without the flag)."""
+
+    if not args.smoke:
+        return {}
+    return SMOKE | {"max_batch": min(args.max_batch, SMOKE["max_batch"])}
+
+
 def _serve_command(args: argparse.Namespace) -> int:
-    tier = "smoke" if args.smoke else args.tier
-    scenario = ServeScenario(
-        workload=args.workload,
-        arrival=args.arrival,
-        rate=args.rate,
-        num_requests=8 if args.smoke else args.num_requests,
-        max_batch=min(args.max_batch, 2) if args.smoke else args.max_batch,
-        seed=args.seed,
-        policy=args.policy,
-        scheduler=args.scheduler,
-        prefill_chunk=args.prefill_chunk,
-        prefill_cost=args.prefill_cost,
-        system=args.system,
-        tier=parse_tier(tier),
-        slo_ttft_ms=args.slo_ttft_ms,
-        slo_latency_ms=args.slo_latency_ms,
-        telemetry_ms=args.telemetry,
-        kv_budget=args.kv_budget,
-        kv_block=args.kv_block,
-        preemption=args.preemption,
-        kv_swap_ms=args.kv_swap_ms,
-    ).validate()
-    tracer = _make_tracer(args)
-    profiler = Profiler()
-    metrics = scenario.run(tracer=tracer, profiler=profiler)
-    if args.metrics_sketch:
-        metrics = metrics.with_sketch()
-    logger.debug("profile:\n%s", profiler.summary())
-    print(metrics.summary())
-    print()
+    scenario = from_args(ServeScenario, args, **_smoke(args)).validate()
+    tracer, metrics = _simulate(args, scenario)
     print(
         format_grid(
             f"latency percentiles ({scenario.display_label}, {scenario.scheduler})",
@@ -670,65 +480,31 @@ def _serve_command(args: argparse.Namespace) -> int:
             f"({metrics.meta['preemption']}), "
             f"memory-bound {metrics.meta['kv_memory_bound_frac']:.1%} of the run"
         )
-    if not scenario.slo().is_trivial:
-        print(f"SLO attainment: {metrics.slo_attainment:.1%}")
-    _finish_obs(args, tracer, metrics)
+    _finish(args, scenario, tracer, metrics)
     return 0
 
 
 def _cluster_command(args: argparse.Namespace) -> int:
-    tier = "smoke" if args.smoke else args.tier
+    replicas = args.replicas
     if args.disaggregated is not None:
         # The fleet split fixes the replica count (smoke keeps the bare-flag
-        # default of 1p1d small on its own); a contradicting --replicas is an
-        # error, not a silent override.  The parser default (2) is
-        # indistinguishable from an explicit "--replicas 2" and passes.
+        # default of 1p1d small on its own); an explicit --replicas that
+        # contradicts it is an error, not a silent override.
         prefill, decode = parse_disaggregated(args.disaggregated)
-        replicas = prefill + decode
-        if args.replicas not in (2, replicas):
+        if "replicas" in given(args) and replicas != prefill + decode:
             raise SystemExit(
-                f"--replicas {args.replicas} contradicts --disaggregated "
-                f"{args.disaggregated} ({replicas} replicas); drop --replicas "
+                f"--replicas {replicas} contradicts --disaggregated "
+                f"{args.disaggregated} ({prefill + decode} replicas); drop --replicas "
                 f"or make them agree"
             )
-    else:
-        replicas = min(args.replicas, 2) if args.smoke else args.replicas
-    systems = tuple(args.systems) if args.systems else ("table5",)
-    if args.smoke and len(systems) > 1:
-        systems = systems[:replicas]
-    scenario = ClusterScenario(
-        workload=args.workload,
-        arrival=args.arrival,
-        rate=args.rate,
-        num_requests=8 if args.smoke else args.num_requests,
-        replicas=replicas,
-        router=args.router,
-        max_batch=min(args.max_batch, 2) if args.smoke else args.max_batch,
-        seed=args.seed,
-        policy=args.policy,
-        scheduler=args.scheduler,
-        prefill_chunk=args.prefill_chunk,
-        prefill_cost=args.prefill_cost,
-        disaggregated=args.disaggregated,
-        kv_transfer_ms=args.kv_transfer_ms,
-        systems=systems,
-        tier=parse_tier(tier),
-        slo_ttft_ms=args.slo_ttft_ms,
-        slo_latency_ms=args.slo_latency_ms,
-        telemetry_ms=args.telemetry,
-        kv_budget=args.kv_budget,
-        kv_block=args.kv_block,
-        preemption=args.preemption,
-        kv_swap_ms=args.kv_swap_ms,
-    ).validate()
-    tracer = _make_tracer(args)
-    profiler = Profiler()
-    metrics = scenario.run(tracer=tracer, profiler=profiler)
-    if args.metrics_sketch:
-        metrics = metrics.with_sketch()
-    logger.debug("profile:\n%s", profiler.summary())
-    print(metrics.summary())
-    print()
+        replicas = prefill + decode
+    elif args.smoke:
+        replicas = min(replicas, 2)
+    overrides = {"replicas": replicas} | _smoke(args)
+    if args.smoke and args.systems and len(args.systems) > 1:
+        overrides["systems"] = args.systems[:replicas]
+    scenario = from_args(ClusterScenario, args, **overrides).validate()
+    tracer, metrics = _simulate(args, scenario)
     replica_rows = [
         {
             "replica": replica.replica_id,
@@ -763,9 +539,7 @@ def _cluster_command(args: argparse.Namespace) -> int:
             f"{sum(metrics.meta['preemptions'])} preemptions "
             f"({metrics.meta['preemption']})"
         )
-    if not scenario.slo().is_trivial:
-        print(f"SLO attainment: {metrics.slo_attainment:.1%}")
-    _finish_obs(args, tracer, metrics)
+    _finish(args, scenario, tracer, metrics)
     return 0
 
 
@@ -817,56 +591,22 @@ def _run_serving_sweep_command(args: argparse.Namespace) -> int:
     """``sweep --serve`` / ``sweep --cluster``: one grid over a serving scenario."""
 
     _validate_jobs(args.jobs)
-    knobs = {
-        "num_requests": args.num_requests,
-        "max_batch": args.max_batch,
-        "seed": args.seed,
-        "tier": parse_tier(args.tier),
-        "max_cycles": args.max_cycles,
-        "telemetry_ms": args.telemetry,
-        "kv_swap_ms": args.kv_swap_ms,
+    grid = sweep_grid(ClusterScenario if args.cluster else ServeScenario, args)
+    base = grid.base
+    metrics = {
+        "p50_ms": lambda m: m.latency_percentile_ms(50),
+        "p95_ms": lambda m: m.latency_percentile_ms(95),
+        "p99_ms": lambda m: m.latency_percentile_ms(99),
+        "tokens_per_s": lambda m: m.tokens_per_s,
+        "imbalance": lambda m: m.load_imbalance,
+        "slo": lambda m: m.slo_attainment,
     }
-    base: ServeScenario | ClusterScenario
     if args.cluster:
-        base = ClusterScenario(workload="llama3-70b", **knobs)
-        fleet_axes: tuple = (
-            ("replicas", tuple(args.replica_counts or CLUSTER_SWEEP_REPLICAS)),
-            ("router", tuple(args.routers or ("round-robin",))),
-        )
-        columns = ("rate", "replicas", "router", "scheduler")
-        metrics = {
-            "p50_ms": lambda m: m.latency_percentile_ms(50),
-            "p99_ms": lambda m: m.latency_percentile_ms(99),
-            "tokens_per_s": lambda m: m.tokens_per_s,
-            "imbalance": lambda m: m.load_imbalance,
-            "slo": lambda m: m.slo_attainment,
-        }
+        columns: tuple[str, ...] = ("rate", "replicas", "router", "scheduler")
+        del metrics["p95_ms"]
     else:
-        base = ServeScenario(workload="llama3-70b", **knobs)
-        fleet_axes = ()
         columns = ("arrival", "rate", "scheduler", "policy")
-        metrics = {
-            "p50_ms": lambda m: m.latency_percentile_ms(50),
-            "p95_ms": lambda m: m.latency_percentile_ms(95),
-            "p99_ms": lambda m: m.latency_percentile_ms(99),
-            "tokens_per_s": lambda m: m.tokens_per_s,
-            "slo": lambda m: m.slo_attainment,
-        }
-    grid = Grid(
-        base,
-        (
-            ("workload", tuple(args.models or ("llama3-70b",))),
-            ("arrival", tuple(args.arrivals or ("poisson",))),
-            ("rate", tuple(args.rates or SERVE_SWEEP_RATES)),
-            *fleet_axes,
-            ("scheduler", tuple(args.schedulers or (DEFAULT_SCHEDULER,))),
-            ("prefill_chunk", tuple(args.prefill_chunks or (DEFAULT_PREFILL_CHUNK,))),
-            ("policy", tuple(args.policies or ("unopt",))),
-            ("kv_budget", tuple(args.kv_budgets or (None,))),
-            ("kv_block", tuple(args.kv_blocks or (1,))),
-            ("preemption", tuple(args.preemptions or ("recompute",))),
-        ),
-    )
+        del metrics["imbalance"]
     report = _run_grid(args, f"{base.kind} sweep", grid, _point_progress)
 
     rows = []
@@ -893,34 +633,29 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             "--seq-len/--l2-mib are kernel-sweep axes; drop them or drop "
             "--serve/--cluster"
         )
-    if not args.cluster and (args.replica_counts or args.routers):
+    flags = given(args)
+    if not (args.serve or args.cluster) and flags:
         raise SystemExit(
-            "--replicas/--router are cluster-sweep axes; pass --cluster to "
-            "sweep cluster points"
-        )
-    if not (args.serve or args.cluster) and (
-        args.rates or args.arrivals or args.schedulers or args.prefill_chunks
-        or args.kv_budgets or args.kv_blocks or args.preemptions
-    ):
-        raise SystemExit(
-            "--rate/--arrival/--scheduler/--prefill-chunk/--kv-budget/"
-            "--kv-block/--preemption are serving-sweep axes; pass --serve or "
+            f"{'/'.join(flags.values())}: serving-sweep only; pass --serve or "
             "--cluster to sweep serving points"
         )
-    if not (args.serve or args.cluster) and args.telemetry is not None:
-        raise SystemExit(
-            "--telemetry samples serving-time series; pass --serve or "
-            "--cluster to sweep serving points"
-        )
+    if args.serve:
+        serve_fields = {f.name for f in fields(ServeScenario)}
+        fleet_flags = [flag for name, flag in flags.items() if name not in serve_fields]
+        if fleet_flags:
+            raise SystemExit(
+                f"{'/'.join(fleet_flags)}: cluster-sweep only; pass --cluster to "
+                "sweep cluster points"
+            )
     if args.serve or args.cluster:
         return _run_serving_sweep_command(args)
     _validate_jobs(args.jobs)
-    policies = tuple(args.policies or FIG9_POLICY_LABELS)
+    policies = tuple(args.policy or FIG9_POLICY_LABELS)
     tier = parse_tier(args.tier)
     grid = Grid(
         Scenario(workload="llama3-70b", tier=tier, max_cycles=args.max_cycles),
         (
-            ("workload", tuple(args.models or ("llama3-70b", "llama3-405b"))),
+            ("workload", tuple(args.workload or ("llama3-70b", "llama3-405b"))),
             ("l2_mib", tuple(args.l2_mib or FIG9_L2_MIB)),
             ("seq_len", tuple(args.seq_lens or (FIG9_SEQ_LEN,))),
             ("policy", policies),
@@ -1072,28 +807,8 @@ def _list_command(what: str) -> int:
 #: ``--determinism SCENARIO`` presets, mirroring the ``--smoke`` serve/cluster
 #: shapes so the checked scenarios are exactly the ones CI already pins.
 def _determinism_scenario(name: str, seed: int):
-    if name == "serve-smoke":
-        return ServeScenario(
-            workload="llama3-70b",
-            arrival="poisson",
-            rate=2000.0,
-            num_requests=8,
-            max_batch=2,
-            seed=seed,
-            tier=parse_tier("smoke"),
-            label=name,
-        )
-    return ClusterScenario(
-        workload="llama3-70b",
-        arrival="poisson",
-        rate=2000.0,
-        num_requests=8,
-        max_batch=2,
-        replicas=2,
-        seed=seed,
-        tier=parse_tier("smoke"),
-        label=name,
-    )
+    cls = ServeScenario if name == "serve-smoke" else ClusterScenario
+    return cls.from_dict({"workload": DEFAULT_WORKLOAD, "seed": seed, "label": name} | SMOKE)
 
 
 def _check_command(args: argparse.Namespace) -> int:

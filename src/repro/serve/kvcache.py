@@ -31,6 +31,7 @@ scheduler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -77,6 +78,8 @@ class KVCacheConfig:
     def validate(self) -> "KVCacheConfig":
         if self.block_tokens <= 0:
             raise ConfigError(f"kv block_tokens must be positive, got {self.block_tokens}")
+        if not math.isfinite(self.swap_ms):
+            raise ConfigError(f"kv swap_ms must be finite, got {self.swap_ms}")
         if self.swap_ms < 0:
             raise ConfigError(f"kv swap_ms must be non-negative, got {self.swap_ms}")
         PREEMPTIONS.get(self.preemption)  # unknown names raise ConfigError

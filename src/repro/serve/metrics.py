@@ -13,6 +13,7 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
@@ -131,8 +132,8 @@ class ServeSLO:
     def validate(self) -> "ServeSLO":
         for name in ("ttft_ms", "latency_ms"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"ServeSLO.{name} must be positive, got {value}")
+            if value is not None and not (0 < value < math.inf):
+                raise ConfigError(f"ServeSLO.{name} must be positive and finite, got {value}")
         return self
 
     @property

@@ -7,26 +7,40 @@ prefill chunk budget, seed, SLOs).  Everything resolves through
 :mod:`repro.registry`, so a workload, arrival process or scheduler policy
 registered anywhere is immediately servable from the Python API, the
 ``llamcat serve`` subcommand and serve sweep grids.
+
+:class:`ServingScenario` holds the knobs serve and cluster scenarios share.
+Each knob is declared once (:func:`repro.serve.knobs.knob`); serialization,
+range checks, CLI flags and sweep axes derive from the declarations.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
-from dataclasses import dataclass, fields
-from typing import ClassVar, NamedTuple
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Self
 
 from repro.common.errors import ConfigError
-from repro.config.policies import PolicyConfig
-from repro.config.scale import ScaleTier, parse_tier, scale_system
+from repro.config.scale import ScaleTier, scale_system
 from repro.config.system import SystemConfig
-from repro.config.workload import WorkloadConfig
 from repro.registry import (
     resolve_arrival,
     resolve_policy,
     resolve_scheduler,
     resolve_system,
     resolve_workload,
+)
+from repro.serve.knobs import (
+    NON_NEGATIVE,
+    PAIRS,
+    POSITIVE,
+    TIER,
+    TUPLE,
+    check_ranges,
+    decode,
+    encode,
+    knob,
 )
 from repro.serve.kvcache import DEFAULT_SWAP_MS, KVCacheConfig
 from repro.serve.metrics import ServeMetrics, ServeSLO
@@ -49,129 +63,187 @@ DEFAULT_SERVE_SYSTEM = "table5"
 #: The step-planning policy a ServeScenario uses when none is given.
 DEFAULT_SCHEDULER = "decode-first"
 
+#: The workload the command line serves when none is given.
+DEFAULT_WORKLOAD = "llama3-70b"
 
-class ResolvedServeScenario(NamedTuple):
-    """Concrete, tier-scaled configuration objects behind a ServeScenario."""
+#: Defaults of the serving sweep's traffic axis (requests/s).
+SERVE_SWEEP_RATES = (1000.0, 2000.0, 4000.0)
 
-    system: SystemConfig
-    workload: WorkloadConfig
-    policy: PolicyConfig
+
+def parse_kv_budget(text: str) -> int | str:
+    """Parse a ``--kv-budget`` value: a token count or the literal "system"."""
+
+    if text == "system":
+        return text
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'expected a token count or "system", got {text!r}'
+        ) from None
+    if budget <= 0:
+        raise argparse.ArgumentTypeError("KV budget must be a positive token count")
+    return budget
 
 
 @dataclass(frozen=True, slots=True)
-class ServeScenario:
-    """One serving simulation point over a stream of decode requests."""
+class ServingScenario:
+    """The knobs, identity and run loop shared by serve and cluster scenarios.
+
+    Subclasses add their own fields (:class:`ServeScenario` the system,
+    ``ClusterScenario`` the fleet) and implement ``scaled_systems``,
+    ``display_label``, ``describe`` and ``build_simulator``.  ``validate``
+    runs their ``cross_check`` after the declared range checks.
+    """
 
     #: Store kind tag of this scenario's points and results.
-    kind: ClassVar[str] = "serve"
+    kind: ClassVar[str]
 
-    workload: str
-    arrival: str = "poisson"
-    #: Requests/s for open-loop processes; user population for closed-loop.
-    rate: float = 2000.0
-    num_requests: int = 32
-    max_batch: int = 4
-    seed: int = 0
-    policy: str = "unopt"
-    #: Step-planning policy (SCHEDULERS registry name): decode-first /
-    #: prefill-first / chunked.
-    scheduler: str = DEFAULT_SCHEDULER
-    #: Token budget of one chunked-prefill iteration (chunked scheduler only).
-    prefill_chunk: int = DEFAULT_PREFILL_CHUNK
+    workload: str = field(metadata=knob(
+        help="registered workload name (e.g. llama3-70b-decode)", flags=("--workload", "--model"),
+        flag_default=DEFAULT_WORKLOAD, axis=0,
+    ))
+    arrival: str = field(default="poisson", metadata=knob(
+        help='registered arrival process, e.g. "poisson", "bursty", "closed-loop"',
+        flags=("--arrival",), axis=1,
+    ))
+    rate: float = field(default=2000.0, metadata=knob(
+        help="requests/s (open-loop) or user population (closed-loop)", bound=POSITIVE,
+        flags=("--rate",), axis=2, axis_values=SERVE_SWEEP_RATES,
+    ))
+    num_requests: int = field(default=32, metadata=knob(
+        help="requests per point", bound=POSITIVE, flags=("--num-requests",), sweep=True,
+    ))
+    max_batch: int = field(default=4, metadata=knob(
+        help="continuous-batching bound (per replica in a fleet)", bound=POSITIVE,
+        flags=("--max-batch",), sweep=True,
+    ))
+    seed: int = field(default=0, metadata=knob(
+        help="arrival-stream seed", flags=("--seed",), sweep=True,
+    ))
+    policy: str = field(default="unopt", metadata=knob(
+        help='cache policy label, e.g. "unopt", "dynmg+BMA"', flags=("--policy",), axis=7,
+    ))
+    #: SCHEDULERS registry name; in a fleet, the mixed/decode replicas' policy.
+    scheduler: str = field(default=DEFAULT_SCHEDULER, metadata=knob(
+        help='registered step-planning policy, e.g. "decode-first", "prefill-first", "chunked"',
+        flags=("--scheduler",), axis=5,
+    ))
+    prefill_chunk: int = field(default=DEFAULT_PREFILL_CHUNK, metadata=knob(
+        help="token budget of one chunked-prefill iteration (chunked scheduler only)",
+        bound=POSITIVE, flags=("--prefill-chunk",), axis=6,
+    ))
     #: Model the prefill phase; off, prompts are free and the run reproduces
     #: the legacy decode-only scheduler bit-for-bit.
-    prefill_cost: bool = True
-    system: str = DEFAULT_SERVE_SYSTEM
-    tier: ScaleTier = ScaleTier.CI
-    prompt_tokens: tuple[int, int] = DEFAULT_PROMPT_TOKENS
-    output_tokens: tuple[int, int] = DEFAULT_OUTPUT_TOKENS
+    prefill_cost: bool = field(default=True, metadata=knob(
+        help="treat prompts as free (the legacy decode-only timeline)",
+        flags=("--no-prefill-cost",),
+    ))
+    tier: ScaleTier = field(default=ScaleTier.CI, metadata=knob(
+        help="scale tier, e.g. smoke, ci, full", codec=TIER, flags=("--tier",), flag_default="ci",
+        sweep=True,
+    ))
+    prompt_tokens: tuple[int, int] = field(default=DEFAULT_PROMPT_TOKENS, metadata=knob(
+        codec=TUPLE,
+    ))
+    output_tokens: tuple[int, int] = field(default=DEFAULT_OUTPUT_TOKENS, metadata=knob(
+        codec=TUPLE,
+    ))
     #: Extra keyword parameters for the arrival builder, as sorted pairs
     #: (e.g. ``(("burst_size", 4),)`` for bursty traffic).
-    arrival_params: tuple[tuple[str, object], ...] = ()
-    slo_ttft_ms: float | None = None
-    slo_latency_ms: float | None = None
-    max_cycles: int | None = None
-    #: Telemetry sampling cadence in simulated milliseconds; None disables
-    #: sampling.  Serialized only when set, so pre-telemetry scenario hashes
-    #: (and store resume) stay valid.
-    telemetry_ms: float | None = None
-    #: KV-cache budget in tokens, ``"system"`` for the system preset's
-    #: :attr:`~repro.config.system.SystemConfig.kv_budget_tokens`, or None to
-    #: keep KV accounting off (the legacy unbounded-memory default).  The KV
-    #: knobs are serialized only when a budget is set, so pre-KV scenario
-    #: hashes (and store resume) stay valid.
-    kv_budget: int | str | None = None
-    #: Paged-KV block size in tokens (1 = exact token-granular accounting).
-    kv_block: int = 1
-    #: PREEMPTIONS registry name: what eviction under KV pressure costs.
-    preemption: str = "recompute"
-    #: One-way KV swap transfer latency in milliseconds (swap policy only).
-    kv_swap_ms: float = DEFAULT_SWAP_MS
-    #: Display label (defaults to "<policy>@<arrival>"); never part of the key.
-    label: str | None = None
+    arrival_params: tuple[tuple[str, object], ...] = field(default=(), metadata=knob(codec=PAIRS))
+    slo_ttft_ms: float | None = field(default=None, metadata=knob(
+        help="time-to-first-token objective (ms)", bound=POSITIVE, flags=("--slo-ttft-ms",),
+        parse=float,
+    ))
+    slo_latency_ms: float | None = field(default=None, metadata=knob(
+        help="end-to-end latency objective (ms)", bound=POSITIVE, flags=("--slo-latency-ms",),
+        parse=float,
+    ))
+    max_cycles: int | None = field(default=None, metadata=knob(sweep=True))
+    #: Telemetry sampling cadence; serialized only when set, so pre-telemetry
+    #: scenario hashes (and store resume) stay valid.
+    telemetry_ms: float | None = field(default=None, metadata=knob(
+        help="telemetry sampling interval in simulated ms: queue depth, batch size and "
+             "utilization (an ASCII timeline; sweeps store it for `llamcat timeline`)",
+        bound=POSITIVE, omit_unless="telemetry_ms", flags=("--telemetry",), parse=float, sweep=True,
+    ))
+    #: KV budget in tokens (per replica in a fleet), ``"system"`` for the
+    #: preset's :attr:`~repro.config.system.SystemConfig.kv_budget_tokens`, or
+    #: None to keep KV accounting off (the legacy unbounded-memory default).
+    #: The KV knobs are serialized only when a budget is set, so pre-KV
+    #: scenario hashes (and store resume) stay valid.
+    kv_budget: int | str | None = field(default=None, metadata=knob(
+        help='KV-cache budget in tokens, or "system" for the preset\'s device budget; '
+             "omit to keep KV accounting off",
+        omit_unless="kv_budget", flags=("--kv-budget",), parse=parse_kv_budget, axis=8,
+    ))
+    kv_block: int = field(default=1, metadata=knob(
+        help="paged-KV block size in tokens (1 = exact accounting)", omit_unless="kv_budget",
+        flags=("--kv-block",), axis=9,
+    ))
+    preemption: str = field(default="recompute", metadata=knob(
+        help='registered preemption policy for an exhausted KV budget, e.g. "recompute", "swap"',
+        omit_unless="kv_budget", flags=("--preemption",), axis=10,
+    ))
+    kv_swap_ms: float = field(default=DEFAULT_SWAP_MS, metadata=knob(
+        help="one-way KV transfer latency of the swap preemption policy (ms)", bound=NON_NEGATIVE,
+        omit_unless="kv_budget", flags=("--kv-swap-ms",), sweep=True,
+    ))
+    #: Display label (defaults to a per-kind "<...>@<arrival>"); never hashed.
+    label: str | None = field(default=None, metadata=knob())
 
-    # -- validation / resolution -------------------------------------------------------
-    def validate(self) -> "ServeScenario":
-        if self.rate <= 0:
-            raise ConfigError(f"rate must be positive, got {self.rate}")
-        if self.num_requests <= 0:
-            raise ConfigError(f"num_requests must be positive, got {self.num_requests}")
-        if self.max_batch <= 0:
-            raise ConfigError(f"max_batch must be positive, got {self.max_batch}")
-        if self.prefill_chunk <= 0:
-            raise ConfigError(f"prefill_chunk must be positive, got {self.prefill_chunk}")
-        if self.telemetry_ms is not None and self.telemetry_ms <= 0:
-            raise ConfigError(f"telemetry_ms must be positive, got {self.telemetry_ms}")
+    # -- validation --------------------------------------------------------------------
+    def validate(self) -> Self:
+        check_ranges(self)
         if not isinstance(self.tier, ScaleTier):
             raise ConfigError(f"tier must be a ScaleTier, got {self.tier!r}")
+        self.cross_check()
         self.slo().validate()
         resolve_arrival(self.arrival)  # raises ConfigError on unknown names
         resolve_scheduler(self.scheduler)
+        resolve_workload(self.workload)
+        resolve_policy(self.policy)
         # The KV knobs must be valid even with accounting off, so a sweep
         # axis never carries a bad block size or preemption name silently.
         KVCacheConfig(
             block_tokens=self.kv_block, preemption=self.preemption, swap_ms=self.kv_swap_ms
         ).validate()
-        resolved = self.resolve()
+        systems = self.scaled_systems()
         if self.kv_budget is not None:
             if not self.prefill_cost:
                 raise ConfigError(
                     "kv_budget needs prefill_cost=True: recompute preemption "
                     "re-prefills evicted context"
                 )
-            self.kv_config(resolved.system).validate()
+            for system in systems:
+                self.kv_config(system).validate()
         return self
 
-    def resolve(self) -> ResolvedServeScenario:
-        """Resolve names through the registries and tier-scale the system.
+    def cross_check(self) -> None:
+        """Cross-field rules beyond the declared ranges (none by default)."""
 
-        The workload keeps its builder-default sequence length: per-step
-        contexts come from the request stream, so only the shape family
-        (heads, head_dim, operator) matters here.
-        """
+    def scaled_systems(self) -> tuple[SystemConfig, ...]:
+        """The distinct tier-scaled system presets this point runs on."""
 
-        system = scale_system(resolve_system(self.system), self.tier)
-        workload = resolve_workload(self.workload)
-        policy = resolve_policy(self.policy)
-        return ResolvedServeScenario(system=system, workload=workload, policy=policy)
+        raise NotImplementedError
 
     def slo(self) -> ServeSLO:
         return ServeSLO(ttft_ms=self.slo_ttft_ms, latency_ms=self.slo_latency_ms)
 
     def kv_config(self, system: SystemConfig | None = None) -> KVCacheConfig:
-        """The KV memory model of this point (accounting off when no budget).
+        """The KV memory model of one accelerator (accounting off when no budget).
 
-        ``kv_budget="system"`` resolves to the (tier-scaled) system preset's
-        :attr:`~repro.config.system.SystemConfig.kv_budget_tokens`; pass the
-        already-resolved system to skip a second registry resolution.
+        ``kv_budget="system"`` resolves against ``system``'s (tier-scaled)
+        :attr:`~repro.config.system.SystemConfig.kv_budget_tokens`, so a
+        heterogeneous fleet gives each replica its preset's budget; without a
+        ``system`` the point's first preset is resolved.
         """
 
         if self.kv_budget is None:
             return KVCacheConfig()
         if self.kv_budget == "system":
-            if system is None:
-                system = self.resolve().system
-            budget = system.kv_budget_tokens
+            budget = (system or self.scaled_systems()[0]).kv_budget_tokens
         elif isinstance(self.kv_budget, int):
             budget = self.kv_budget
         else:
@@ -188,13 +260,7 @@ class ServeScenario:
 
     @property
     def display_label(self) -> str:
-        return self.label if self.label is not None else f"{self.policy}@{self.arrival}"
-
-    def describe(self) -> str:
-        return (
-            f"serve {self.workload} {self.arrival}@{self.rate:g} {self.scheduler} "
-            f"n={self.num_requests} b<={self.max_batch} seed={self.seed}"
-        )
+        raise NotImplementedError
 
     def to_point(self) -> ScenarioPoint:
         """This scenario as a sweep job labelled ``"<display label>@<rate>"``."""
@@ -219,124 +285,48 @@ class ServeScenario:
         canonical = json.dumps(self.config_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    # -- (de)serialization -------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "arrival": self.arrival,
-            "rate": self.rate,
-            "num_requests": self.num_requests,
-            "max_batch": self.max_batch,
-            "seed": self.seed,
-            "policy": self.policy,
-            "scheduler": self.scheduler,
-            "prefill_chunk": self.prefill_chunk,
-            "prefill_cost": self.prefill_cost,
-            "system": self.system,
-            "tier": self.tier.name,
-            "prompt_tokens": list(self.prompt_tokens),
-            "output_tokens": list(self.output_tokens),
-            "arrival_params": [[k, v] for k, v in self.arrival_params],
-            "slo_ttft_ms": self.slo_ttft_ms,
-            "slo_latency_ms": self.slo_latency_ms,
-            "max_cycles": self.max_cycles,
-            "label": self.label,
-        } | ({} if self.telemetry_ms is None else {"telemetry_ms": self.telemetry_ms}) | (
-            {}
-            if self.kv_budget is None
-            else {
-                "kv_budget": self.kv_budget,
-                "kv_block": self.kv_block,
-                "preemption": self.preemption,
-                "kv_swap_ms": self.kv_swap_ms,
-            }
-        )
+        return encode(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ServeScenario":
-        defaults = {f.name: f.default for f in fields(cls)}
-        return cls(
-            workload=data["workload"],
-            arrival=data.get("arrival", "poisson"),
-            rate=data.get("rate", defaults["rate"]),
-            num_requests=data.get("num_requests", defaults["num_requests"]),
-            max_batch=data.get("max_batch", defaults["max_batch"]),
-            seed=data.get("seed", 0),
-            policy=data.get("policy", "unopt"),
-            scheduler=data.get("scheduler", DEFAULT_SCHEDULER),
-            prefill_chunk=data.get("prefill_chunk", DEFAULT_PREFILL_CHUNK),
-            prefill_cost=data.get("prefill_cost", True),
-            system=data.get("system", DEFAULT_SERVE_SYSTEM),
-            tier=parse_tier(data.get("tier", ScaleTier.CI.name)),
-            prompt_tokens=tuple(data.get("prompt_tokens", DEFAULT_PROMPT_TOKENS)),
-            output_tokens=tuple(data.get("output_tokens", DEFAULT_OUTPUT_TOKENS)),
-            arrival_params=tuple(
-                (k, v) for k, v in data.get("arrival_params", ())
-            ),
-            slo_ttft_ms=data.get("slo_ttft_ms"),
-            slo_latency_ms=data.get("slo_latency_ms"),
-            max_cycles=data.get("max_cycles"),
-            telemetry_ms=data.get("telemetry_ms"),
-            kv_budget=data.get("kv_budget"),
-            kv_block=data.get("kv_block", 1),
-            preemption=data.get("preemption", "recompute"),
-            kv_swap_ms=data.get("kv_swap_ms", DEFAULT_SWAP_MS),
-            label=data.get("label"),
-        )
+    def from_dict(cls, data: dict) -> Self:
+        return decode(cls, data)
 
     # -- execution ---------------------------------------------------------------------
-    def build_simulator(self) -> ServingSimulator:
-        """Assemble the arrival process, cost model and scheduler for this point."""
+    def arrival_stream(self):
+        """A fresh, seeded arrival process for this point's request stream."""
 
-        resolved = self.resolve()
         sampler = RequestSampler(
-            seed=self.seed,
-            prompt_tokens=self.prompt_tokens,
-            output_tokens=self.output_tokens,
+            seed=self.seed, prompt_tokens=self.prompt_tokens, output_tokens=self.output_tokens
         )
-        arrival = resolve_arrival(self.arrival)(
+        return resolve_arrival(self.arrival)(
             sampler, self.rate, self.num_requests, **dict(self.arrival_params)
         )
-        cost_model = SimStepCostModel(
-            system=resolved.system,
-            workload=resolved.workload,
-            policy=resolved.policy,
+
+    def step_cost_model(self, system: SystemConfig) -> SimStepCostModel:
+        """A fresh (cold) step-cost table for this point on one scaled system."""
+
+        return SimStepCostModel(
+            system=system,
+            workload=resolve_workload(self.workload),
+            policy=resolve_policy(self.policy),
             tier=self.tier,
             max_cycles=self.max_cycles,
             seq_bucket_floor=SEQ_BUCKET_FLOOR,
         )
-        return ServingSimulator(
-            arrival=arrival,
-            cost_model=cost_model,
-            frequency_ghz=resolved.system.frequency_ghz,
-            batch=BatchConfig(
-                max_batch=self.max_batch,
-                prefill=self.prefill_cost,
-                kv=self.kv_config(resolved.system),
-            ),
-            policy=resolve_scheduler(self.scheduler)(prefill_chunk=self.prefill_chunk),
-            slo=self.slo(),
-            label=self.display_label,
-            workload_name=self.workload,
-            telemetry_ms=self.telemetry_ms,
-        )
 
-    def run(self, tracer=None, profiler=None, probe=None) -> ServeMetrics:
-        """Simulate this serving point and return its metrics.
+    def build_simulator(self) -> Any:
+        raise NotImplementedError
 
-        Long-lived processes run many scenarios back to back, so each run ends
-        by clearing the module-level trace cache: a serving run generates up to
-        ``max_batch x seq-buckets`` distinct step traces (large at high batch),
-        which would otherwise linger into -- and LRU-evict the traces of --
-        whatever runs next.  Within the run itself, traces are still shared
-        through :func:`~repro.sim.runner.cached_trace` and the memoized step
-        table.
+    def run(self, tracer=None, profiler=None, probe=None) -> Any:
+        """Simulate this point and return its metrics.
 
-        ``tracer`` receives the run's event timeline (None keeps the
-        zero-overhead null tracer); ``profiler`` (a
-        :class:`~repro.obs.profile.Profiler`) accumulates the run's wall-clock
-        profile; ``probe`` (a :class:`~repro.analysis.runtime.StepProbe`)
-        collects per-step determinism digests -- all side channels that never
+        The run ends by clearing the module-level trace cache: its up to
+        ``max_batch x seq-buckets`` step traces per system preset would
+        otherwise linger into (and LRU-evict the traces of) whatever a
+        long-lived process runs next.  ``tracer`` (event timeline),
+        ``profiler`` (wall-clock profile, as ``"<kind>.step_cost_build"``) and
+        ``probe`` (per-step determinism digests) are side channels that never
         influence the metrics.
         """
 
@@ -346,15 +336,60 @@ class ServeScenario:
         finally:
             clear_trace_cache()
         if profiler is not None:
-            step_cost = simulator.profile.get("step_cost", {})
-            if step_cost:
-                profiler.add(
-                    "serve.step_cost_build",
-                    step_cost.get("build_wall_s", 0.0),
-                    calls=step_cost.get("misses", 0),
-                )
-                profiler.count("serve.step_cost_hit", step_cost.get("hits", 0))
+            step_costs = simulator.profile.get("step_cost", ())
+            for step_cost in [step_costs] if isinstance(step_costs, dict) else step_costs:
+                if step_cost:
+                    profiler.add(
+                        f"{self.kind}.step_cost_build",
+                        step_cost.get("build_wall_s", 0.0),
+                        calls=step_cost.get("misses", 0),
+                    )
+                    profiler.count(f"{self.kind}.step_cost_hit", step_cost.get("hits", 0))
         return metrics
+
+
+@dataclass(frozen=True, slots=True)
+class ServeScenario(ServingScenario):
+    """One serving simulation point over a stream of decode requests."""
+
+    kind: ClassVar[str] = "serve"
+
+    system: str = field(default=DEFAULT_SERVE_SYSTEM, metadata=knob(
+        help="registered system name", flags=("--system",),
+    ))
+
+    def scaled_systems(self) -> tuple[SystemConfig, ...]:
+        return (scale_system(resolve_system(self.system), self.tier),)
+
+    @property
+    def display_label(self) -> str:
+        return self.label if self.label is not None else f"{self.policy}@{self.arrival}"
+
+    def describe(self) -> str:
+        return (
+            f"serve {self.workload} {self.arrival}@{self.rate:g} {self.scheduler} "
+            f"n={self.num_requests} b<={self.max_batch} seed={self.seed}"
+        )
+
+    def build_simulator(self) -> ServingSimulator:
+        """Assemble the arrival process, cost model and scheduler for this point."""
+
+        (system,) = self.scaled_systems()
+        return ServingSimulator(
+            arrival=self.arrival_stream(),
+            cost_model=self.step_cost_model(system),
+            frequency_ghz=system.frequency_ghz,
+            batch=BatchConfig(
+                max_batch=self.max_batch,
+                prefill=self.prefill_cost,
+                kv=self.kv_config(system),
+            ),
+            policy=resolve_scheduler(self.scheduler)(prefill_chunk=self.prefill_chunk),
+            slo=self.slo(),
+            label=self.display_label,
+            workload_name=self.workload,
+            telemetry_ms=self.telemetry_ms,
+        )
 
 
 def run_serve_scenario(scenario: ServeScenario) -> ServeMetrics:

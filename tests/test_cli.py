@@ -5,6 +5,15 @@ from typing import ClassVar
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cluster.scenario import ClusterScenario
+from repro.serve.knobs import from_args, given, sweep_grid
+from repro.serve.scenario import ServeScenario
+
+
+def _axes(cls, argv: list[str]) -> dict:
+    """The serving-sweep grid axes ``argv`` builds, by field name."""
+
+    return dict(sweep_grid(cls, build_parser().parse_args(argv)).axes)
 
 
 class TestParser:
@@ -27,7 +36,7 @@ class TestParser:
 
     def test_sweep_defaults_are_fig9_style(self):
         args = build_parser().parse_args(["sweep"])
-        assert args.models is None          # resolved to both models at run time
+        assert args.workload is None        # resolved to both models at run time
         assert args.jobs == 1
         assert args.store is None
         assert not args.force
@@ -37,7 +46,7 @@ class TestParser:
             ["sweep", "--model", "llama3-70b", "--seq-len", "1024", "--seq-len", "2048",
              "--policy", "unopt", "--l2-mib", "16", "--jobs", "4"]
         )
-        assert args.models == ["llama3-70b"]
+        assert args.workload == ["llama3-70b"]
         assert args.seq_lens == [1024, 2048]
         assert args.l2_mib == [16]
         assert args.jobs == 4
@@ -103,6 +112,14 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             main(["serve", "--workload", "gpt-7", "--smoke"])
 
+    def test_non_finite_rate_rejected_before_simulating(self, monkeypatch):
+        def no_run(self, *args, **kwargs):
+            raise AssertionError("validation must fail before the simulation")
+
+        monkeypatch.setattr(ServeScenario, "run", no_run)
+        with pytest.raises(SystemExit, match="rate must be finite, got nan"):
+            main(["serve", "--smoke", "--rate", "nan"])
+
     def test_smoke_run_prints_percentiles_and_throughput(self, capsys):
         assert main(["serve", "--smoke", "--seed", "0"]) == 0
         out = capsys.readouterr().out
@@ -140,14 +157,17 @@ class TestServeSweepCommand:
              "--arrival", "poisson", "--num-requests", "8"]
         )
         assert args.serve
-        assert args.rates == [1000.0, 2000.0]
-        assert args.arrivals == ["poisson"]
-        assert args.num_requests == 8
+        grid = sweep_grid(ServeScenario, args)
+        axes = dict(grid.axes)
+        assert axes["rate"] == (1000.0, 2000.0)
+        assert axes["arrival"] == ("poisson",)
+        assert grid.base.num_requests == 8
 
     def test_kernel_sweep_unaffected_by_default(self):
         args = build_parser().parse_args(["sweep"])
         assert not args.serve
-        assert args.rates is None
+        assert given(args) == {}                 # no serving flag was set
+        assert _axes(ServeScenario, ["sweep"])["rate"] == (1000.0, 2000.0, 4000.0)
 
     def test_unknown_arrival_rejected(self):
         with pytest.raises(SystemExit):
@@ -162,15 +182,21 @@ class TestServeSweepCommand:
             main(["sweep", "--scheduler", "chunked"])
         with pytest.raises(SystemExit, match="--serve"):
             main(["sweep", "--prefill-chunk", "128"])
+        # Scalar serving flags have non-None defaults; they are caught too.
+        for flag, value in (("--num-requests", "8"), ("--max-batch", "8"),
+                            ("--seed", "3"), ("--kv-swap-ms", "0.5")):
+            with pytest.raises(SystemExit, match=f"{flag}.*--serve"):
+                main(["sweep", flag, value])
 
     def test_scheduler_axis_flags(self):
-        args = build_parser().parse_args(
+        axes = _axes(
+            ServeScenario,
             ["sweep", "--serve", "--scheduler", "decode-first",
              "--scheduler", "chunked", "--prefill-chunk", "128",
-             "--prefill-chunk", "512"]
+             "--prefill-chunk", "512"],
         )
-        assert args.schedulers == ["decode-first", "chunked"]
-        assert args.prefill_chunks == [128, 512]
+        assert axes["scheduler"] == ("decode-first", "chunked")
+        assert axes["prefill_chunk"] == (128, 512)
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(SystemExit):
@@ -251,6 +277,9 @@ class TestClusterCommand:
         with pytest.raises(SystemExit, match="contradicts"):
             main(["cluster", "--replicas", "8", "--disaggregated", "1p1d",
                   "--smoke"])
+        # An explicit --replicas equal to the old parser default is no excuse.
+        with pytest.raises(SystemExit, match="--replicas 2 contradicts"):
+            main(["cluster", "--smoke", "--replicas", "2", "--disaggregated", "3p1d"])
 
     def test_disaggregated_smoke_prints_roles_and_handoffs(self, capsys):
         assert main(["cluster", "--smoke", "--seed", "0", "--disaggregated"]) == 0
@@ -267,9 +296,10 @@ class TestClusterSweepCommand:
              "--replicas", "4", "--router", "round-robin", "--router", "jsq"]
         )
         assert args.cluster
-        assert args.replica_counts == [2, 4]
-        assert args.routers == ["round-robin", "jsq"]
-        assert args.rates == [1000.0]
+        axes = dict(sweep_grid(ClusterScenario, args).axes)
+        assert axes["replicas"] == (2, 4)
+        assert axes["router"] == ("round-robin", "jsq")
+        assert axes["rate"] == (1000.0,)
 
     def test_cluster_axes_without_cluster_rejected(self):
         with pytest.raises(SystemExit, match="--cluster"):
@@ -403,9 +433,10 @@ class TestObservabilityFlags:
             ["serve", "--trace-out", "t.json", "--telemetry", "2.5"]
         )
         assert args.trace_out == "t.json"
-        assert args.telemetry == 2.5
+        assert from_args(ServeScenario, args).telemetry_ms == 2.5
         args = build_parser().parse_args(["cluster"])
-        assert args.trace_out is None and args.telemetry is None
+        assert args.trace_out is None
+        assert from_args(ClusterScenario, args).telemetry_ms is None
 
     def test_verbosity_flags_parse(self):
         args = build_parser().parse_args(["-v", "serve"])
