@@ -111,7 +111,6 @@ class ClusterScenario(ServingScenario):
         help="KV-cache transfer latency of one prefill-to-decode handoff (ms)", bound=NON_NEGATIVE,
         flags=("--kv-transfer-ms",),
     ))
-    #: One system preset per replica; a single name is broadcast to the fleet.
     systems: tuple[str, ...] = field(default=(DEFAULT_SERVE_SYSTEM,), metadata=knob(
         help="repeatable system preset; one name is broadcast to every replica, "
              "N names give a heterogeneous fleet (default: table5)",
