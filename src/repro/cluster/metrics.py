@@ -5,8 +5,10 @@ the :class:`~repro.serve.metrics.RequestMetrics` records of the requests that
 replica completed plus its own step/cycle/busy-time counters.  Everything the
 evaluation reports at fleet level -- merged p50/p95/p99 latency and TTFT,
 fleet tokens/s and requests/s, per-replica utilization and the load-imbalance
-factor -- is derived on demand through :mod:`repro.common.mathutils`, exactly
-like :class:`~repro.serve.metrics.ServeMetrics` derives its aggregates.
+factor -- is derived on demand; the request-level aggregates come from the
+:class:`~repro.serve.metrics.RequestAggregates` base that
+:class:`~repro.serve.metrics.ServeMetrics` shares, with one request group per
+replica.
 
 :class:`ClusterMetrics` serializes with ``to_dict``/``from_dict`` and carries
 ``result_kind = "cluster"``, so cluster points flow through the sweep result
@@ -15,14 +17,18 @@ store next to kernel (``"sim"``) and single-accelerator (``"serve"``) records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 from repro.common.errors import ConfigError
-from repro.common.mathutils import mean, percentile, percentiles, safe_div, weighted_mean
-from repro.obs.metrics import Histogram
+from repro.common.mathutils import mean, safe_div
 from repro.obs.telemetry import TelemetrySeries
-from repro.serve.metrics import REPORTED_PERCENTILES, RequestMetrics, ServeSLO
+from repro.serve.metrics import (
+    REPORTED_PERCENTILES,
+    RequestAggregates,
+    RequestMetrics,
+    ServeSLO,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +119,7 @@ class ReplicaMetrics:
 
 
 @dataclass(frozen=True, slots=True)
-class ClusterMetrics:
+class ClusterMetrics(RequestAggregates):
     """Complete result of one multi-replica serving simulation."""
 
     #: Result-kind tag used by the sweep store to pick the right deserializer.
@@ -133,10 +139,10 @@ class ClusterMetrics:
     telemetry: TelemetrySeries | None = None
     #: Opt-in sketch mode (``--metrics-sketch``): fleet percentiles are
     #: answered by merging one log-bucketed histogram per replica (see
-    #: :meth:`merged_histogram`) within the documented relative error bound,
-    #: instead of concatenating and re-sorting every replica's per-request
-    #: list.  Off by default (and omitted from serialization when off) so
-    #: golden fixtures stay bit-for-bit identical.
+    #: :meth:`~repro.serve.metrics.RequestAggregates.merged_histogram`) within
+    #: the documented relative error bound, instead of concatenating every
+    #: replica's per-request list.  Off by default (and omitted from
+    #: serialization when off) so golden fixtures stay bit-for-bit identical.
     sketch: bool = False
 
     # -- fleet-level series ------------------------------------------------------------
@@ -151,13 +157,8 @@ class ClusterMetrics:
         merged = [r for replica in self.replicas for r in replica.requests]
         return tuple(sorted(merged, key=lambda r: r.request_id))
 
-    @property
-    def num_requests(self) -> int:
-        return sum(replica.num_requests for replica in self.replicas)
-
-    @property
-    def total_output_tokens(self) -> int:
-        return sum(replica.output_tokens for replica in self.replicas)
+    def request_groups(self) -> tuple[tuple[RequestMetrics, ...], ...]:
+        return tuple(replica.requests for replica in self.replicas)
 
     @property
     def steps(self) -> int:
@@ -168,64 +169,6 @@ class ClusterMetrics:
         return sum(replica.total_cycles for replica in self.replicas)
 
     # -- headline aggregates -----------------------------------------------------------
-    def merged_histogram(self, span: str) -> Histogram:
-        """One histogram per replica, merged -- the fixed-memory fleet path.
-
-        ``span`` is "latency", "ttft" or "prefill".  Each replica's requests
-        are bucketed independently and the per-replica histograms are merged
-        (exact bucket-count addition, deterministic replica order), which is
-        how fleet percentiles scale to runs too large to concatenate
-        per-request lists for.
-        """
-
-        merged = Histogram()
-        for replica in self.replicas:
-            merged.merge(Histogram.of(self._spans_s(replica.requests, span)))
-        return merged
-
-    @staticmethod
-    def _spans_s(requests: tuple[RequestMetrics, ...], span: str) -> list[float]:
-        if span == "latency":
-            return [r.latency_s for r in requests]
-        if span == "ttft":
-            return [r.ttft_s for r in requests]
-        if span == "prefill":
-            return [r.prefill_s for r in requests if r.prefill_s is not None]
-        raise ConfigError(f"unknown request span {span!r}")
-
-    def _percentile_s(self, span: str, point: float) -> float:
-        """Exact merged-list percentile, or the histogram merge when opted in."""
-
-        if self.sketch:
-            return self.merged_histogram(span).quantile(point)
-        return percentile(self._spans_s(self.requests, span), point)
-
-    def latency_percentile_ms(self, point: float) -> float:
-        return self._percentile_s("latency", point) * 1e3
-
-    def ttft_percentile_ms(self, point: float) -> float:
-        return self._percentile_s("ttft", point) * 1e3
-
-    @property
-    def mean_tpot_ms(self) -> float:
-        """Fleet decode pace, weighted by each request's decoded tokens."""
-
-        requests = self.requests
-        weights = [max(0, r.output_tokens - 1) for r in requests]
-        if not requests or sum(weights) == 0:
-            return 0.0
-        return weighted_mean([r.tpot_s for r in requests], weights) * 1e3
-
-    @property
-    def tokens_per_s(self) -> float:
-        """Fleet throughput: completed output tokens over the makespan."""
-
-        return safe_div(self.total_output_tokens, self.duration_s)
-
-    @property
-    def requests_per_s(self) -> float:
-        return safe_div(self.num_requests, self.duration_s)
-
     @property
     def utilizations(self) -> list[float]:
         """Per-replica busy fraction of the fleet makespan, replica order."""
@@ -262,17 +205,6 @@ class ClusterMetrics:
         return self.role_utilization("decode")
 
     @property
-    def has_prefill_phase(self) -> bool:
-        """Whether any completed request carries prefill-phase accounting."""
-
-        return any(r.prefill_end_s is not None for r in self.requests)
-
-    def prefill_percentile_ms(self, point: float) -> float:
-        """Merged prefill-span percentile over the prefill-phase requests (ms)."""
-
-        return self._percentile_s("prefill", point) * 1e3
-
-    @property
     def load_imbalance(self) -> float:
         """Max/mean completed output tokens across replicas (1.0 = balanced).
 
@@ -285,26 +217,15 @@ class ClusterMetrics:
             return 0.0
         return max(tokens) / mean(tokens)
 
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of fleet requests meeting every objective (1.0 if none)."""
-
-        requests = self.requests
-        if not requests or self.slo.is_trivial:
-            return 1.0
-        return sum(1 for r in requests if self.slo.attained(r)) / len(requests)
-
     # -- formatting --------------------------------------------------------------------
     def headline_metrics(self) -> dict:
-        # Merge the per-replica records once and batch the percentile points
-        # over one sort each -- this runs on every store write (to_dict).
-        requests = self.requests
+        num_requests = self.num_requests
         out = {
             "label": self.label,
             "workload": self.workload,
             "router": self.router,
             "num_replicas": self.num_replicas,
-            "num_requests": len(requests),
+            "num_requests": num_requests,
             "duration_s": self.duration_s,
             "steps": self.steps,
             "total_cycles": self.total_cycles,
@@ -315,25 +236,10 @@ class ClusterMetrics:
             "slo_attainment": self.slo_attainment,
             "utilizations": self.utilizations,
         }
-        if requests:
-            if self.sketch:
-                latency = self.merged_histogram("latency").quantiles(REPORTED_PERCENTILES)
-                ttft = self.merged_histogram("ttft").quantiles(REPORTED_PERCENTILES)
-            else:
-                latency = percentiles([r.latency_s for r in requests], REPORTED_PERCENTILES)
-                ttft = percentiles([r.ttft_s for r in requests], REPORTED_PERCENTILES)
-            for point, lat_ms, ttft_ms in zip(REPORTED_PERCENTILES, latency, ttft, strict=True):
-                out[f"latency_p{point:g}_ms"] = lat_ms * 1e3
-                out[f"ttft_p{point:g}_ms"] = ttft_ms * 1e3
-        prefill_spans = self._spans_s(requests, "prefill")
-        if prefill_spans:
-            spans = (
-                self.merged_histogram("prefill").quantiles(REPORTED_PERCENTILES)
-                if self.sketch
-                else percentiles(prefill_spans, REPORTED_PERCENTILES)
-            )
-            for point, span in zip(REPORTED_PERCENTILES, spans, strict=True):
-                out[f"prefill_p{point:g}_ms"] = span * 1e3
+        if num_requests:
+            self._add_percentiles(out, ("latency", "ttft"))
+        if self.has_prefill_phase:
+            self._add_percentiles(out, ("prefill",))
         if self.is_disaggregated:
             out["handoffs"] = self.handoffs
             out["prefill_utilization"] = self.prefill_utilization
@@ -341,8 +247,7 @@ class ClusterMetrics:
         return out
 
     def summary(self) -> str:
-        requests = self.requests
-        if not requests:
+        if not self.num_requests:
             return f"[{self.label}] {self.workload}: no completed requests"
         p50, p95, p99 = (self.latency_percentile_ms(p) for p in REPORTED_PERCENTILES)
         disagg = (
@@ -353,7 +258,7 @@ class ClusterMetrics:
         )
         return (
             f"[{self.label}] {self.workload} x{self.num_replicas} via {self.router}: "
-            f"{len(requests)} requests in {self.duration_s * 1e3:.2f} ms "
+            f"{self.num_requests} requests in {self.duration_s * 1e3:.2f} ms "
             f"({self.steps} fleet steps), "
             f"latency p50/p95/p99 = {p50:.3f}/{p95:.3f}/{p99:.3f} ms, "
             f"TTFT p95 {self.ttft_percentile_ms(95):.3f} ms, "
@@ -370,7 +275,7 @@ class ClusterMetrics:
         recomputed on demand after a reload.
         """
 
-        data = {
+        return self._optional_to_dict({
             "label": self.label,
             "workload": self.workload,
             "router": self.router,
@@ -381,12 +286,7 @@ class ClusterMetrics:
             # Derived ride-along block for humans/dashboards; recomputed from
             # the replica records on load, so from_dict never reads it.
             "metrics": self.headline_metrics(),  # repro: noqa[SER001]
-        }
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry.to_dict()
-        if self.sketch:
-            data["sketch"] = True
-        return data
+        })
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterMetrics":
@@ -398,18 +298,5 @@ class ClusterMetrics:
             replicas=tuple(ReplicaMetrics.from_dict(r) for r in data["replicas"]),
             slo=ServeSLO.from_dict(data.get("slo", {})),
             meta=dict(data.get("meta", {})),
-            telemetry=(
-                TelemetrySeries.from_dict(data["telemetry"])
-                if data.get("telemetry") is not None
-                else None
-            ),
-            sketch=bool(data.get("sketch", False)),
+            **cls._optional_from_dict(data),
         )
-
-    def with_label(self, label: str) -> "ClusterMetrics":
-        return self if label == self.label else replace(self, label=label)
-
-    def with_sketch(self, sketch: bool = True) -> "ClusterMetrics":
-        """A copy answering fleet percentiles via merged histograms."""
-
-        return self if sketch == self.sketch else replace(self, sketch=sketch)

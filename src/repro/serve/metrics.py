@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar, Self, Sequence
 
 from repro.common.errors import ConfigError
-from repro.common.mathutils import percentile, safe_div, weighted_mean
+from repro.common.mathutils import percentiles, safe_div, weighted_mean
 from repro.obs.metrics import Histogram
 from repro.obs.telemetry import TelemetrySeries
 
@@ -159,8 +159,176 @@ class ServeSLO:
         ).validate()
 
 
+def _spans_s(requests: Sequence[RequestMetrics], span: str) -> list[float]:
+    """One lifecycle span per request: latency, ttft, prefill or decode.
+
+    Prefill spans cover only the requests whose prefill was modeled.
+    """
+
+    if span == "latency":
+        return [r.latency_s for r in requests]
+    if span == "ttft":
+        return [r.ttft_s for r in requests]
+    if span == "prefill":
+        return [r.prefill_s for r in requests if r.prefill_s is not None]
+    if span == "decode":
+        return [r.decode_s for r in requests]
+    raise ConfigError(f"unknown request span {span!r}")
+
+
+class RequestAggregates:
+    """The request-level aggregates of :class:`ServeMetrics` and ClusterMetrics.
+
+    A subclass is a frozen dataclass with ``label``, ``duration_s``, ``slo``,
+    ``telemetry`` and ``sketch`` fields and an id-sorted ``requests``
+    sequence, and it names its request groups: one on a single accelerator,
+    one per replica in a fleet.  Exact percentiles run over every request;
+    the opt-in sketch merges one log-bucketed histogram per group, which is
+    exact bucket addition, so a single accelerator and its one-replica fleet
+    agree in both modes.
+    """
+
+    __slots__ = ()
+
+    if TYPE_CHECKING:
+        label: str
+        duration_s: float
+        slo: ServeSLO
+        telemetry: TelemetrySeries | None
+        sketch: bool
+        __dataclass_fields__: ClassVar[dict]
+
+        @property
+        def requests(self) -> tuple[RequestMetrics, ...]: ...
+
+    def request_groups(self) -> Sequence[Sequence[RequestMetrics]]:
+        raise NotImplementedError
+
+    @property
+    def num_requests(self) -> int:
+        return sum(len(group) for group in self.request_groups())
+
+    @property
+    def total_output_tokens(self) -> int:
+        return sum(r.output_tokens for group in self.request_groups() for r in group)
+
+    @property
+    def has_prefill_phase(self) -> bool:
+        """Whether any completed request carries prefill-phase accounting."""
+
+        return any(
+            r.prefill_end_s is not None for group in self.request_groups() for r in group
+        )
+
+    # -- span percentiles --------------------------------------------------------------
+    def merged_histogram(self, span: str) -> Histogram:
+        """One histogram per request group, merged -- the fixed-memory path.
+
+        Each group's spans are bucketed independently and the histograms are
+        merged (exact bucket-count addition, deterministic group order), which
+        is how fleet percentiles scale to runs too large to concatenate
+        per-request lists for.
+        """
+
+        merged = Histogram()
+        for group in self.request_groups():
+            merged.merge(Histogram.of(_spans_s(group, span)))
+        return merged
+
+    def percentiles_ms(self, span: str, points: Sequence[float]) -> list[float]:
+        """``span`` percentiles (ms): the exact list, or the sketch when opted in."""
+
+        if self.sketch:
+            values = self.merged_histogram(span).quantiles(points)
+        else:
+            groups = self.request_groups()
+            values = percentiles([v for group in groups for v in _spans_s(group, span)], points)
+        return [value * 1e3 for value in values]
+
+    def latency_percentile_ms(self, point: float) -> float:
+        return self.percentiles_ms("latency", (point,))[0]
+
+    def ttft_percentile_ms(self, point: float) -> float:
+        return self.percentiles_ms("ttft", (point,))[0]
+
+    def prefill_percentile_ms(self, point: float) -> float:
+        """Prefill-span percentile over the prefill-phase requests (ms)."""
+
+        return self.percentiles_ms("prefill", (point,))[0]
+
+    def decode_percentile_ms(self, point: float) -> float:
+        return self.percentiles_ms("decode", (point,))[0]
+
+    def _add_percentiles(self, out: dict, spans: Sequence[str]) -> None:
+        """Add ``<span>_p<point>_ms`` for every reported point, point-major."""
+
+        table = [self.percentiles_ms(span, REPORTED_PERCENTILES) for span in spans]
+        for i, point in enumerate(REPORTED_PERCENTILES):
+            for span, values in zip(spans, table, strict=True):
+                out[f"{span}_p{point:g}_ms"] = values[i]
+
+    # -- headline aggregates -----------------------------------------------------------
+    @property
+    def mean_tpot_ms(self) -> float:
+        """Per-token decode pace, weighted by each request's decoded tokens."""
+
+        requests = self.requests
+        weights = [max(0, r.output_tokens - 1) for r in requests]
+        if not requests or sum(weights) == 0:
+            return 0.0
+        return weighted_mean([r.tpot_s for r in requests], weights) * 1e3
+
+    @property
+    def tokens_per_s(self) -> float:
+        """Completed output tokens over the run's makespan."""
+
+        return safe_div(self.total_output_tokens, self.duration_s)
+
+    @property
+    def requests_per_s(self) -> float:
+        return safe_div(self.num_requests, self.duration_s)
+
+    @property
+    def slo_attainment(self) -> float:
+        """Fraction of requests meeting every configured objective (1.0 if none)."""
+
+        requests = self.requests
+        if not requests or self.slo.is_trivial:
+            return 1.0
+        return sum(1 for r in requests if self.slo.attained(r)) / len(requests)
+
+    # -- copies and serialization ------------------------------------------------------
+    def with_label(self, label: str) -> Self:
+        return self if label == self.label else replace(self, label=label)
+
+    def with_sketch(self, sketch: bool = True) -> Self:
+        """A copy answering percentiles via the merged histogram sketch."""
+
+        return self if sketch == self.sketch else replace(self, sketch=sketch)
+
+    def _optional_to_dict(self, data: dict) -> dict:
+        """``data`` plus ``telemetry`` and ``sketch``, each only when set, so
+        pre-telemetry dicts (and golden fixtures) stay bit-for-bit identical."""
+
+        if self.telemetry is not None:
+            data["telemetry"] = self.telemetry.to_dict()
+        if self.sketch:
+            data["sketch"] = True
+        return data
+
+    @staticmethod
+    def _optional_from_dict(data: dict) -> dict:
+        """The ``telemetry``/``sketch`` constructor arguments of ``data``."""
+
+        telemetry = data.get("telemetry")
+        return {
+            "telemetry": None if telemetry is None else TelemetrySeries.from_dict(telemetry),
+            "sketch": bool(data.get("sketch", False)),
+        }
+
+
 @dataclass(frozen=True, slots=True)
-class ServeMetrics:
+class ServeMetrics(RequestAggregates):
     """Complete result of one serving simulation."""
 
     #: Result-kind tag used by the sweep store to pick the right deserializer.
@@ -189,89 +357,22 @@ class ServeMetrics:
     #: fixtures stay bit-for-bit identical.
     sketch: bool = False
 
-    # -- per-request series ------------------------------------------------------------
-    @property
-    def num_requests(self) -> int:
-        return len(self.requests)
-
-    @property
-    def latencies_s(self) -> list[float]:
-        return [r.latency_s for r in self.requests]
-
-    @property
-    def ttfts_s(self) -> list[float]:
-        return [r.ttft_s for r in self.requests]
+    def request_groups(self) -> tuple[tuple[RequestMetrics, ...]]:
+        return (self.requests,)
 
     @property
     def prefills_s(self) -> list[float]:
         """Per-request prefill spans, for requests whose prefill was modeled."""
 
-        return [r.prefill_s for r in self.requests if r.prefill_s is not None]
+        return _spans_s(self.requests, "prefill")
 
     @property
     def decodes_s(self) -> list[float]:
-        return [r.decode_s for r in self.requests]
-
-    @property
-    def has_prefill_phase(self) -> bool:
-        """Whether any completed request carries prefill-phase accounting."""
-
-        return any(r.prefill_end_s is not None for r in self.requests)
-
-    @property
-    def total_output_tokens(self) -> int:
-        return sum(r.output_tokens for r in self.requests)
+        return _spans_s(self.requests, "decode")
 
     @property
     def total_prompt_tokens(self) -> int:
         return sum(r.prompt_tokens for r in self.requests)
-
-    # -- headline aggregates -----------------------------------------------------------
-    def _percentile_s(self, values: list[float], point: float) -> float:
-        """Exact-list percentile, or the histogram sketch when opted in."""
-
-        if self.sketch:
-            return Histogram.of(values).quantile(point)
-        return percentile(values, point)
-
-    def latency_percentile_ms(self, point: float) -> float:
-        return self._percentile_s(self.latencies_s, point) * 1e3
-
-    def ttft_percentile_ms(self, point: float) -> float:
-        return self._percentile_s(self.ttfts_s, point) * 1e3
-
-    def prefill_percentile_ms(self, point: float) -> float:
-        """Prefill-span percentile over the prefill-phase requests (ms)."""
-
-        return self._percentile_s(self.prefills_s, point) * 1e3
-
-    def decode_percentile_ms(self, point: float) -> float:
-        return self._percentile_s(self.decodes_s, point) * 1e3
-
-    @property
-    def mean_tpot_ms(self) -> float:
-        """Per-token decode pace, weighted by each request's decoded tokens."""
-
-        weights = [max(0, r.output_tokens - 1) for r in self.requests]
-        if not self.requests or sum(weights) == 0:
-            return 0.0
-        return weighted_mean([r.tpot_s for r in self.requests], weights) * 1e3
-
-    @property
-    def tokens_per_s(self) -> float:
-        return safe_div(self.total_output_tokens, self.duration_s)
-
-    @property
-    def requests_per_s(self) -> float:
-        return safe_div(self.num_requests, self.duration_s)
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of requests meeting every configured objective (1.0 if none)."""
-
-        if not self.requests or self.slo.is_trivial:
-            return 1.0
-        return sum(1 for r in self.requests if self.slo.attained(r)) / len(self.requests)
 
     # -- formatting --------------------------------------------------------------------
     def headline_metrics(self) -> dict:
@@ -288,15 +389,11 @@ class ServeMetrics:
             "slo_attainment": self.slo_attainment,
         }
         if self.requests:
-            for point in REPORTED_PERCENTILES:
-                out[f"latency_p{point:g}_ms"] = self.latency_percentile_ms(point)
-                out[f"ttft_p{point:g}_ms"] = self.ttft_percentile_ms(point)
+            self._add_percentiles(out, ("latency", "ttft"))
         # Per-phase aggregates exist only when the run modeled prefill, so
         # decode-only runs keep the exact legacy headline (golden compat).
         if self.has_prefill_phase:
-            for point in REPORTED_PERCENTILES:
-                out[f"prefill_p{point:g}_ms"] = self.prefill_percentile_ms(point)
-                out[f"decode_p{point:g}_ms"] = self.decode_percentile_ms(point)
+            self._add_percentiles(out, ("prefill", "decode"))
         # KV-memory aggregates exist only when the run carried a KV budget, so
         # unbounded-memory runs keep the exact legacy headline (golden compat).
         if "preemptions" in self.meta:
@@ -343,7 +440,7 @@ class ServeMetrics:
         along under ``"metrics"`` and are recomputed on demand after a reload.
         """
 
-        data = {
+        return self._optional_to_dict({
             "label": self.label,
             "workload": self.workload,
             "frequency_ghz": self.frequency_ghz,
@@ -356,12 +453,7 @@ class ServeMetrics:
             # Derived ride-along block for humans/dashboards; recomputed from
             # the request records on load, so from_dict never reads it.
             "metrics": self.headline_metrics(),  # repro: noqa[SER001]
-        }
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry.to_dict()
-        if self.sketch:
-            data["sketch"] = True
-        return data
+        })
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServeMetrics":
@@ -375,18 +467,5 @@ class ServeMetrics:
             requests=tuple(RequestMetrics.from_dict(r) for r in data["requests"]),
             slo=ServeSLO.from_dict(data.get("slo", {})),
             meta=dict(data.get("meta", {})),
-            telemetry=(
-                TelemetrySeries.from_dict(data["telemetry"])
-                if data.get("telemetry") is not None
-                else None
-            ),
-            sketch=bool(data.get("sketch", False)),
+            **cls._optional_from_dict(data),
         )
-
-    def with_label(self, label: str) -> "ServeMetrics":
-        return self if label == self.label else replace(self, label=label)
-
-    def with_sketch(self, sketch: bool = True) -> "ServeMetrics":
-        """A copy answering percentiles via the histogram sketch path."""
-
-        return self if sketch == self.sketch else replace(self, sketch=sketch)

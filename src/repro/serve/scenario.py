@@ -336,15 +336,13 @@ class ServingScenario:
         finally:
             clear_trace_cache()
         if profiler is not None:
-            step_costs = simulator.profile.get("step_cost", ())
-            for step_cost in [step_costs] if isinstance(step_costs, dict) else step_costs:
-                if step_cost:
-                    profiler.add(
-                        f"{self.kind}.step_cost_build",
-                        step_cost.get("build_wall_s", 0.0),
-                        calls=step_cost.get("misses", 0),
-                    )
-                    profiler.count(f"{self.kind}.step_cost_hit", step_cost.get("hits", 0))
+            for step_cost in simulator.profile["step_cost"]:
+                profiler.add(
+                    f"{self.kind}.step_cost_build",
+                    step_cost.get("build_wall_s", 0.0),
+                    calls=step_cost.get("misses", 0),
+                )
+                profiler.count(f"{self.kind}.step_cost_hit", step_cost.get("hits", 0))
         return metrics
 
 

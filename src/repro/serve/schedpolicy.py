@@ -192,7 +192,7 @@ class PrefillOnlyPolicy(SchedulerPolicy):
     """Prefill every pending prompt in full; never decode.
 
     The step planner of a *prefill replica* in a disaggregated fleet: requests
-    leave the replica as soon as their prompt is processed (the cluster loop
+    leave the replica as soon as their prompt is processed (the serving loop
     evicts and hands them off), so a decode phase never exists here.  Not
     registered -- a colocated serving loop running this policy would never
     finish a request.

@@ -1,4 +1,4 @@
-"""The request-level serving simulator: one serving step, two drivers.
+"""The request-level serving simulator: one serving step, one loop, two drivers.
 
 :class:`ReplicaSim` is the one implementation of a serving step.  It owns a
 continuous-batching scheduler, a step-planning policy and a step-cost model,
@@ -18,26 +18,31 @@ applied instantly without consuming a step, which is what makes
 ``decode-first`` with prefill cost disabled bit-for-bit identical to the
 legacy decode-only scheduler.
 
-:class:`ServingSimulator` drives a single replica over one accelerator: it
-enqueues the whole stream, alternates step starts and ends, jumps the clock
-to the next arrival when the batch is empty (so idle gaps cost nothing to
-simulate), feeds closed-loop follow-ups back into the scheduler and guards
-against runs that cannot drain.
-:class:`~repro.cluster.simulator.ClusterSimulator` drives N replicas with
-routers over the same step.  Both loops are fully deterministic: a seeded
-arrival stream plus a deterministic cost model reproduces every timestamp
-bit-for-bit.
+:func:`run_loop` is the one clock-advancing serving loop.  It routes each
+request of the arrival stream to a replica at its arrival instant, starts and
+ends steps, delivers prefill-to-decode handoffs, jumps the clock to the next
+event (so idle gaps cost nothing to simulate), feeds closed-loop follow-ups
+back into the stream and raises a structured stall report for a run that
+cannot drain.  Two drivers build their metrics from the drained replicas:
+:class:`ServingSimulator` runs one accelerator as a one-replica round-robin
+fleet and assembles :class:`~repro.serve.metrics.ServeMetrics`;
+:class:`~repro.cluster.simulator.ClusterSimulator` runs N replicas behind its
+routers and assembles :class:`~repro.cluster.metrics.ClusterMetrics`.  The loop
+is fully deterministic: a seeded arrival stream plus a deterministic cost model
+reproduces every timestamp bit-for-bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
+import math
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from repro.common.errors import ConfigError, LivelockError
-from repro.obs.telemetry import TelemetryRecorder
-from repro.obs.tracer import CAT_STEP, NULL_TRACER, Tracer, trace_request
+from repro.obs.telemetry import TelemetryRecorder, TelemetrySeries
+from repro.obs.tracer import CAT_HANDOFF, CAT_STEP, NULL_TRACER, Tracer, trace_request
 from repro.serve.arrival import ArrivalProcess
 from repro.serve.metrics import RequestMetrics, ServeMetrics, ServeSLO
 from repro.serve.schedpolicy import (
@@ -51,16 +56,18 @@ from repro.serve.scheduler import (
     ActiveRequest,
     BatchConfig,
     ContinuousBatchScheduler,
+    HandoffRequest,
     bucket_context,
 )
 from repro.serve.stepcost import StepCostModel
 
-#: Hard cap on scheduler iterations -- a guard against a stream that can never
-#: drain (e.g. a zero-cost model paired with an infinite closed loop).
-MAX_STEPS = 10_000_000
+if TYPE_CHECKING:
+    from repro.cluster.router import Router
 
-#: Trace pid of the per-request swimlanes (the accelerator itself is pid 0).
-REQUESTS_PID = 1
+#: Hard cap on scheduler iterations per replica -- a guard against a stream
+#: that can never drain (e.g. a zero-cost model paired with an infinite closed
+#: loop).  :func:`run_loop` reads it at call time.
+MAX_STEPS = 10_000_000
 
 #: The replica roles a fleet may mix: every colocated replica is "mixed";
 #: a disaggregated fleet is partitioned into "prefill" and "decode".
@@ -222,14 +229,12 @@ class ReplicaSim:
     """One accelerator replica: a scheduler, a step planner, a cost model, a clock.
 
     The one implementation of a serving step (see the module docstring),
-    driven by :class:`ServingSimulator` on a single accelerator and by
-    :class:`~repro.cluster.simulator.ClusterSimulator` across a fleet.
-    Exposes the two load signals routers read (``queue_depth``,
-    ``outstanding``) and accumulates the counters that become a run's
-    metrics.  ``role`` tags the replica's place in a disaggregated fleet; a
-    ``"prefill"`` replica evicts each request the moment its prompt completes
-    and surfaces it through :meth:`take_handoffs` for the cluster loop to
-    transfer.
+    driven by :func:`run_loop`.  Exposes the two load signals routers read
+    (``queue_depth``, ``outstanding``) and accumulates the counters that
+    become a run's metrics.  ``role`` tags the replica's place in a
+    disaggregated fleet; a ``"prefill"`` replica evicts each request the
+    moment its prompt completes and surfaces it through :meth:`take_handoffs`
+    for the loop to transfer.
     """
 
     def __init__(
@@ -265,18 +270,21 @@ class ReplicaSim:
         self.step_end_s: float | None = None
         #: The in-flight step's plan (set exactly while ``step_end_s`` is).
         self._plan: StepPlan | None = None
-        #: Whether the last launched step was memory-bound: admission stalled
-        #: on KV memory, or decode growth had to be funded by preemption.
-        self.step_mem_bound = False
-        #: Prefill-complete requests awaiting pickup by the cluster loop.
+        #: Prefill-complete requests awaiting pickup by the loop.
         self._ready_handoffs: list[ActiveRequest] = []
         self.steps = 0
         self.total_cycles = 0
         self.prefill_steps = 0
         self.prefill_tokens = 0
         self.busy_s = 0.0
-        #: Busy time of the memory-bound steps -- the memory-bound signal.
+        #: Busy time of the memory-bound steps (admission stalled on KV
+        #: memory, or decode growth funded by preemption), summed two ways
+        #: that can differ in the last bits: ``mem_bound_s`` adds durations
+        #: (the cluster ``kv_memory_bound_s`` meta, pinned by the
+        #: ``serve_fleet`` perfbench digest), ``mem_bound_span_s`` adds step
+        #: end minus step start (the serve meta, pinned by the KV goldens).
         self.mem_bound_s = 0.0
+        self.mem_bound_span_s = 0.0
         self.routed = 0
         self.handoffs = 0
         self.completed: list[RequestMetrics] = []
@@ -377,12 +385,10 @@ class ReplicaSim:
                 )
             duration_s = cycles / self._cycles_per_s
             self.busy_s += duration_s
-            if scheduler.kv_blocked or preempted:
-                self.step_mem_bound = True
-                self.mem_bound_s += duration_s
-            else:
-                self.step_mem_bound = False
             end_s = self.step_end_s = now_s + duration_s
+            if scheduler.kv_blocked or preempted:
+                self.mem_bound_s += duration_s
+                self.mem_bound_span_s += end_s - now_s
             self._plan = plan
             # The step's span is fully known at launch, so both sinks record
             # here; completion only applies the plan.
@@ -411,8 +417,8 @@ class ReplicaSim:
         """Complete the in-flight iteration via :func:`complete_step`.
 
         Returns the evicted (decode-finished) requests paired with their
-        records, so the driving loop can feed completions back into the
-        arrival process; prefill completions are harvested separately through
+        records, so the loop can feed completions back into the arrival
+        process; prefill completions are harvested separately through
         :meth:`take_handoffs`.
         """
 
@@ -427,11 +433,241 @@ class ReplicaSim:
         return finished
 
 
+@dataclass(frozen=True, slots=True)
+class LoopRun:
+    """What :func:`run_loop` leaves behind besides its drained replicas."""
+
+    first_arrival_s: float
+    #: The clock when the last event fired.
+    end_s: float
+    telemetry: TelemetrySeries | None
+    #: ``step_cost_entries``/``step_simulations`` summed over the distinct
+    #: step-cost tables; empty when a table does not report its size.
+    cost_meta: dict
+    #: The non-empty ``profile()`` of each distinct step-cost table.
+    step_cost: list
+
+
+def _select(router: Router, group: Sequence[ReplicaSim], request, now_s: float) -> ReplicaSim:
+    chosen = router.select(request, group, now_s)
+    if not 0 <= chosen < len(group):
+        raise ConfigError(
+            f"router {router.name!r} chose replica {chosen} of a {len(group)}-replica group"
+        )
+    return group[chosen]
+
+
+def run_loop(
+    arrival: ArrivalProcess,
+    replicas: Sequence[ReplicaSim],
+    router: Router,
+    tracer: Tracer | None = None,
+    probe=None,
+    telemetry_ms: float | None = None,
+    decode_router: Router | None = None,
+    kv_transfer_s: float = 0.0,
+    fleet: bool = True,
+) -> LoopRun:
+    """Serve ``arrival`` on ``replicas`` until the stream and every replica drain.
+
+    ``router`` spreads arrivals over the arrival-eligible replicas: every
+    replica, or only the ``"prefill"`` ones when ``decode_router`` is given,
+    in which case ``decode_router`` spreads each prefill-complete request over
+    the ``"decode"`` replicas ``kv_transfer_s`` after its prompt finished.
+    Three event kinds share one clock: an arrival is routed at its arrival
+    instant (the router sees queues exactly as they stand then), a step end
+    completes the replica's step and reports completions to the arrival
+    process (closing the loop for closed-loop traffic), and a handoff
+    delivers a transferred request to a decode replica.  Replicas are visited
+    in index order, step ends resolve before same-instant arrivals, and both
+    heaps order equal timestamps by request id, so a seeded run reproduces
+    every routing decision and timestamp bit-for-bit.
+
+    Installs ``tracer``, ``probe`` and (with ``telemetry_ms``) a telemetry
+    recorder on every replica, and id-sorts each replica's completed records
+    once the run drains.  A run that cannot drain -- it outgrows a budget of
+    :data:`MAX_STEPS` steps per replica, or work remains with no event left to
+    fire -- raises a :class:`~repro.common.errors.LivelockError`; with
+    ``fleet=False`` (the single accelerator) the stall report says "serve
+    loop" instead of naming the replica.
+    """
+
+    tracer = NULL_TRACER if tracer is None else tracer
+    if probe is not None:
+        # The determinism probe (repro.analysis.runtime.StepProbe) digests
+        # per-replica scheduler state and reads the arrival's RNG position
+        # through this attribute rather than per-call plumbing.
+        probe.arrival = arrival
+    recorder = (
+        TelemetryRecorder(interval_s=telemetry_ms * 1e-3, num_replicas=len(replicas))
+        if telemetry_ms is not None
+        else None
+    )
+    # Replica pids are their ids; the per-request swimlanes live one past.
+    requests_pid = len(replicas)
+    if tracer.enabled:
+        for replica in replicas:
+            tracer.name_process(
+                replica.replica_id, f"replica {replica.replica_id} [{replica.role}]"
+            )
+            tracer.name_thread(replica.replica_id, 0, "scheduler")
+        tracer.name_process(requests_pid, "requests")
+    for replica in replicas:
+        replica.tracer = tracer
+        replica.recorder = recorder
+        replica.probe = probe
+    disaggregated = decode_router is not None
+    prefill_replicas = [r for r in replicas if r.role == "prefill"]
+    decode_replicas = [r for r in replicas if r.role == "decode"]
+    entry_replicas = prefill_replicas if disaggregated else replicas
+
+    def stall(stuck: Sequence[ReplicaSim], reason: str, now_s: float) -> NoReturn:
+        reports = [
+            build_serve_stall_report(
+                r.scheduler, reason, now_s, r.steps, len(r.completed),
+                replica_id=r.replica_id if fleet else None,
+            )
+            for r in stuck
+        ]
+        raise LivelockError("\n".join(report.render() for report in reports), report=reports[0])
+
+    # The pending heap orders un-routed requests by (arrival, id); ids are
+    # unique, so heap order -- and thus every routing decision -- is total.
+    # The handoff heap is keyed the same way on KV-transfer completion.
+    pending: list[tuple[float, int, object]] = []
+    handoffs: list[tuple[float, int, ActiveRequest]] = []
+    for request in arrival.initial():
+        request = request.validate()
+        heapq.heappush(pending, (request.arrival_s, request.request_id, request))
+    if not pending:
+        raise ConfigError(f"arrival process {arrival.name!r} produced no requests")
+    first_arrival_s = pending[0][0]
+
+    def collect_handoffs(now_s: float) -> None:
+        for replica in prefill_replicas:
+            for active in replica.take_handoffs():
+                if tracer.enabled:
+                    tracer.complete(
+                        "kv-transfer", CAT_HANDOFF, requests_pid,
+                        active.request.request_id, now_s, now_s + kv_transfer_s,
+                        args={"from_replica": replica.replica_id},
+                    )
+                heapq.heappush(
+                    handoffs, (now_s + kv_transfer_s, active.request.request_id, active)
+                )
+
+    # Runaway guard: each replica gets MAX_STEPS (read at call time, so tests
+    # may patch it).  It trips only once the budget is overrun while work
+    # remains, so a run that drains in exactly the budget still returns.
+    budget = MAX_STEPS * len(replicas)
+    exceeded = f"{'fleet ' if fleet else ''}exceeded {budget} steps without draining"
+    launched = 0
+    now_s = 0.0
+    while True:
+        # Route everything that has arrived by now: the router sees queue
+        # depths as they stand after earlier same-instant completions.
+        while pending and pending[0][0] <= now_s:
+            request = heapq.heappop(pending)[2]
+            _select(router, entry_replicas, request, now_s).enqueue(request)
+
+        # Deliver KV transfers that completed by now to decode replicas.
+        while handoffs and handoffs[0][0] <= now_s:
+            ready_s, _, active = heapq.heappop(handoffs)
+            assert decode_router is not None
+            replica = _select(decode_router, decode_replicas, active.request, now_s)
+            if tracer.enabled:
+                tracer.instant(
+                    "handoff", CAT_HANDOFF, requests_pid, active.request.request_id,
+                    ready_s, args={"to_replica": replica.replica_id},
+                )
+            replica.enqueue(HandoffRequest(active=active, arrival_s=ready_s))
+
+        # Launch steps on every idle replica with admissible work, and find
+        # the next event in the same pass: a step end, or an idle replica's
+        # future re-admission (a swap-preempted request waiting out its
+        # transfer is an event source too).
+        next_s = math.inf
+        for replica in replicas:
+            if replica.maybe_start_step(now_s):
+                launched += 1
+            event_s = replica.step_end_s
+            if event_s is None:
+                event_s = replica.scheduler.next_arrival_s()
+                if event_s is None or event_s <= now_s:
+                    continue
+            if event_s < next_s:
+                next_s = event_s
+        if disaggregated:
+            # Free prefill may complete instantly and surface handoffs here.
+            collect_handoffs(now_s)
+            if handoffs and handoffs[0][0] < next_s:
+                next_s = handoffs[0][0]
+        if pending and pending[0][0] < next_s:
+            next_s = pending[0][0]
+        if next_s == math.inf:
+            stuck = [r for r in replicas if r.has_work]
+            if stuck:
+                # Work remains but no event can ever fire: every stuck replica
+                # refused admission into an empty batch (a full-KV stall).
+                # Raise a structured report instead of silently dropping the
+                # queued requests.
+                stall(stuck, "admission blocked with an empty batch", now_s)
+            break  # every replica drained and the stream is exhausted
+        if launched > budget:
+            stall(replicas, exceeded, now_s)
+        now_s = next_s
+
+        # Step ends resolve before same-instant arrivals, so a request
+        # arriving exactly as a batch slot frees observes the freed slot.
+        for replica in replicas:
+            if replica.step_end_s is not None and replica.step_end_s <= now_s:
+                for active, _ in replica.finish_step():
+                    follow_up = arrival.on_complete(active.request, now_s)
+                    if follow_up is not None:
+                        follow_up = follow_up.validate()
+                        heapq.heappush(
+                            pending, (follow_up.arrival_s, follow_up.request_id, follow_up)
+                        )
+        if disaggregated:
+            collect_handoffs(now_s)
+
+    for replica in replicas:
+        replica.completed.sort(key=lambda r: r.request_id)
+        if tracer.enabled:
+            # Lifecycle spans per completed request, in (replica, id) order --
+            # trace viewers sort by timestamp, so emission order only needs
+            # to be deterministic, not chronological.
+            for record in replica.completed:
+                trace_request(tracer, record, requests_pid)
+    # Homogeneous fleets share cost models; report the distinct tables.
+    tables = list({id(r.cost_model): r.cost_model for r in replicas}.values())
+    sizes = [getattr(m, "table_size", None) for m in tables]
+    cost_meta = {}
+    if None not in sizes:
+        cost_meta["step_cost_entries"] = sum(sizes)
+        cost_meta["step_simulations"] = sum(
+            getattr(m, "simulations", size) for m, size in zip(tables, sizes, strict=True)
+        )
+    step_cost = [profile for m in tables if (profile := m.profile())]
+    logger.debug(
+        "serving loop: %d replicas, %d steps, %d requests, step_cost=%s",
+        len(replicas), launched, sum(len(r.completed) for r in replicas), step_cost,
+    )
+    return LoopRun(
+        first_arrival_s=first_arrival_s,
+        end_s=now_s,
+        telemetry=recorder.build(first_arrival_s) if recorder is not None else None,
+        cost_meta=cost_meta,
+        step_cost=step_cost,
+    )
+
+
 class ServingSimulator:
     """Simulate serving one request stream on one accelerator.
 
-    A driver over a single :class:`ReplicaSim`; everything a step does lives
-    there.
+    The accelerator is a one-replica round-robin fleet under :func:`run_loop`;
+    this driver only builds its :class:`ReplicaSim` and assembles
+    :class:`ServeMetrics` from it.
     """
 
     def __init__(
@@ -464,64 +700,20 @@ class ServingSimulator:
         self.profile: dict = {}
 
     def run(self, tracer: Tracer | None = None, probe=None) -> ServeMetrics:
+        # Imported here: repro.cluster imports this module.
+        from repro.cluster.router import RoundRobinRouter
+
         replica = ReplicaSim(
             0, self.cost_model, self.frequency_ghz, batch=self.batch_config,
             policy=self.policy,
         )
+        run = run_loop(
+            self.arrival, [replica], RoundRobinRouter(1), tracer, probe,
+            self.telemetry_ms, fleet=False,
+        )
         scheduler = replica.scheduler
-        if tracer is not None:
-            replica.tracer = tracer
-        if probe is not None:
-            # The determinism probe (repro.analysis.runtime.StepProbe) digests
-            # scheduler state per step; it reads the arrival's RNG position
-            # through this attribute rather than per-call plumbing.
-            probe.arrival = self.arrival
-            replica.probe = probe
-        if self.telemetry_ms is not None:
-            replica.recorder = TelemetryRecorder(
-                interval_s=self.telemetry_ms * 1e-3, num_replicas=1
-            )
-        tracer = replica.tracer
-        if tracer.enabled:
-            tracer.name_process(0, f"accelerator [{self.label}]")
-            tracer.name_thread(0, 0, "scheduler")
-            tracer.name_process(REQUESTS_PID, "requests")
-        for request in self.arrival.initial():
-            scheduler.enqueue(request.validate())
-        if not scheduler.has_work:
-            raise ConfigError(
-                f"arrival process {self.arrival.name!r} produced no requests"
-            )
-
-        now_s = 0.0
-        kv_memory_bound_s = 0.0
-        first_arrival_s = min(r.arrival_s for r in scheduler.waiting)
-        while scheduler.has_work:
-            if replica.steps >= MAX_STEPS:
-                self._stall(replica, f"exceeded {MAX_STEPS} steps without draining", now_s)
-            if not replica.maybe_start_step(now_s):
-                # Idle: jump straight to the next arrival.
-                next_arrival = scheduler.next_arrival_s()
-                assert next_arrival is not None  # has_work and nothing running
-                if next_arrival <= now_s:
-                    # An already-arrived request was refused admission into an
-                    # empty batch; jumping to "the next arrival" would never
-                    # advance the clock again.  Raise instead of spinning.
-                    self._stall(replica, "admission blocked with an empty batch", now_s)
-                now_s = next_arrival
-                continue
-            step_start_s, now_s = now_s, replica.step_end_s
-            if replica.step_mem_bound:
-                kv_memory_bound_s += now_s - step_start_s
-            for active, record in replica.finish_step():
-                if tracer.enabled:
-                    trace_request(tracer, record, REQUESTS_PID)
-                follow_up = self.arrival.on_complete(active.request, now_s)
-                if follow_up is not None:
-                    scheduler.enqueue(follow_up.validate())
-
-        completed = sorted(replica.completed, key=lambda r: r.request_id)
-        duration_s = max(0.0, now_s - first_arrival_s)
+        completed = replica.completed
+        duration_s = max(0.0, run.end_s - run.first_arrival_s)
         meta = {
             "arrival": self.arrival.name,
             "max_batch": self.batch_config.max_batch,
@@ -534,10 +726,9 @@ class ServingSimulator:
             meta.update(self.policy.meta())
             meta["prefill_steps"] = replica.prefill_steps
             meta["prefill_tokens"] = replica.prefill_tokens
-        if self.batch_config.kv.enabled:
+        if scheduler.kv is not None:
             # Emitted only when the KV memory model is on, keeping the meta of
             # every legacy (unbounded-memory) run byte-identical.
-            assert scheduler.kv is not None
             meta["kv_budget_tokens"] = self.batch_config.kv.budget_tokens
             meta["kv_block_tokens"] = self.batch_config.kv.block_tokens
             meta["preemption"] = self.batch_config.kv.preemption
@@ -547,26 +738,12 @@ class ServingSimulator:
             meta["kv_peak_fragmentation_tokens"] = (
                 scheduler.kv.peak_fragmentation_tokens
             )
-            # Summed as step end minus step start, which can differ from the
-            # replica's summed durations (mem_bound_s) in the last bit.
-            meta["kv_memory_bound_s"] = kv_memory_bound_s
+            meta["kv_memory_bound_s"] = replica.mem_bound_span_s
             meta["kv_memory_bound_frac"] = (
-                kv_memory_bound_s / duration_s if duration_s > 0 else 0.0
+                replica.mem_bound_span_s / duration_s if duration_s > 0 else 0.0
             )
-        table_size = getattr(self.cost_model, "table_size", None)
-        if table_size is not None:
-            meta["step_cost_entries"] = table_size
-            meta["step_simulations"] = getattr(self.cost_model, "simulations", table_size)
-        self.profile = {"step_cost": self.cost_model.profile()}
-        logger.debug(
-            "serve run [%s]: %d steps, %d requests, step_cost=%s",
-            self.label, replica.steps, len(completed), self.profile["step_cost"],
-        )
-        telemetry = (
-            replica.recorder.build(first_arrival_s, now_s)
-            if replica.recorder is not None
-            else None
-        )
+        meta.update(run.cost_meta)
+        self.profile = {"step_cost": run.step_cost}
         return ServeMetrics(
             label=self.label,
             workload=self.workload_name,
@@ -577,12 +754,5 @@ class ServingSimulator:
             requests=tuple(completed),
             slo=self.slo,
             meta=meta,
-            telemetry=telemetry,
+            telemetry=run.telemetry,
         )
-
-    @staticmethod
-    def _stall(replica: ReplicaSim, reason: str, now_s: float) -> NoReturn:
-        report = build_serve_stall_report(
-            replica.scheduler, reason, now_s, replica.steps, len(replica.completed)
-        )
-        raise LivelockError(report.render(), report=report)

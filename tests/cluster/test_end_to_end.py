@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterScenario, ClusterSimulator
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, LivelockError
 from repro.config.scale import ScaleTier
 from repro.registry import ROUTERS, resolve_router
 from repro.serve.arrival import closed_loop_arrivals, poisson_arrivals
@@ -83,6 +83,16 @@ class TestClusterSimulator:
         metrics = run_cluster(num_replicas=3)
         assert metrics.meta["router"] == "round-robin"
         assert sum(metrics.meta["routed"]) == 12
+
+    def test_max_steps_guard_reports_every_replica(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.simulator.MAX_STEPS", 3)
+        with pytest.raises(LivelockError) as excinfo:
+            run_cluster(num_replicas=2)
+        message = str(excinfo.value)
+        assert message.count("stalled (fleet exceeded 6 steps without draining)") == 2
+        assert "replica 0 stalled" in message
+        assert "replica 1 stalled" in message
+        assert excinfo.value.report.replica_id == 0
 
     def test_fleet_size_mismatch_rejected(self):
         with pytest.raises(ConfigError):

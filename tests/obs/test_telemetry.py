@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.scenario import ClusterScenario
 from repro.common.errors import ConfigError
+from repro.config.scale import ScaleTier
 from repro.obs.telemetry import (
     MAX_TELEMETRY_SAMPLES,
     TelemetryRecorder,
     TelemetrySample,
     TelemetrySeries,
 )
+from repro.serve.scenario import ServeScenario
 
 
 class TestTelemetrySample:
@@ -159,3 +162,26 @@ class TestRecorderBuild:
         assert series.samples[-1].t_s == pytest.approx(1.5)
         assert series.samples[-1].dt_s == pytest.approx(0.5)
         assert series.duration_s == pytest.approx(1.5)
+
+
+class TestQueueDepthCountsArrivedRequests:
+    """A request is queued only once it has arrived, on one accelerator too."""
+
+    KNOBS = dict(
+        workload="llama3-70b",
+        rate=200.0,
+        num_requests=8,
+        seed=0,
+        telemetry_ms=5.0,
+        tier=ScaleTier.SMOKE,
+    )
+
+    def test_single_accelerator_samples_equal_one_replica_fleet(self):
+        single = ServeScenario(**self.KNOBS).validate().run()
+        fleet = ClusterScenario(replicas=1, **self.KNOBS).validate().run()
+        assert single.requests == fleet.requests
+        assert single.telemetry == fleet.telemetry
+        arrivals = [r.arrival_s for r in single.requests]
+        for sample in single.telemetry.samples:
+            arrived = sum(1 for arrival_s in arrivals if arrival_s <= sample.t_s)
+            assert sample.queue_depth <= arrived, sample
