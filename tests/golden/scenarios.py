@@ -13,12 +13,15 @@ and commit the updated fixtures together with the change that moved them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
 
+from repro.analysis.runtime import StepProbe
 from repro.api import ClusterScenario, ServeScenario
 from repro.config.scale import ScaleTier
+from repro.obs import ChromeTracer, Profiler
 
 GOLDEN_DIR = Path(__file__).parent
 
@@ -32,6 +35,16 @@ GOLDEN_SCENARIOS = {
     "cluster_smoke.json": lambda: golden_cluster_scenario().run(),
     "cluster_disaggregated_smoke.json": (
         lambda: golden_cluster_disaggregated_scenario().run()
+    ),
+}
+
+#: fixture file name -> zero-argument callable producing the observer outputs
+#: (see :func:`observer_outputs`) of one smoke run.
+OBSERVER_SCENARIOS = {
+    "observers_serve_smoke.json": lambda: observer_outputs(golden_serve_scenario()),
+    "observers_cluster_smoke.json": lambda: observer_outputs(golden_cluster_scenario()),
+    "observers_cluster_disaggregated_smoke.json": (
+        lambda: observer_outputs(golden_cluster_disaggregated_scenario())
     ),
 }
 
@@ -114,6 +127,29 @@ def golden_cluster_disaggregated_scenario() -> ClusterScenario:
     """``llamcat cluster --smoke --disaggregated --seed 0`` (a 1p1d split)."""
 
     return replace(golden_cluster_scenario(), disaggregated="1p1d").validate()
+
+
+def observer_outputs(scenario) -> dict:
+    """Run ``scenario`` at ``telemetry_ms=1`` with every observer installed.
+
+    Returns what each observer recorded, reduced to deterministic data: the
+    sha256 of the canonical Chrome trace JSON, the determinism probe's step
+    digests, the telemetry series and the profiler's section call counts
+    (wall time is left out; it differs on every run).
+    """
+
+    tracer, probe, profiler = ChromeTracer(), StepProbe(), Profiler()
+    metrics = replace(scenario, telemetry_ms=1.0).validate().run(
+        tracer=tracer, probe=probe, profiler=profiler
+    )
+    return {
+        "trace_sha256": hashlib.sha256(tracer.to_json().encode()).hexdigest(),
+        "probe": [digest.to_dict() for digest in probe.digests],
+        "telemetry": metrics.telemetry.to_dict(),
+        "profile_calls": {
+            name: entry["calls"] for name, entry in profiler.as_dict().items()
+        },
+    }
 
 
 def canonical(metrics_dict: dict) -> dict:

@@ -12,7 +12,12 @@ import json
 
 import pytest
 
-from tests.golden.scenarios import GOLDEN_SCENARIOS, canonical, fixture_path
+from tests.golden.scenarios import (
+    GOLDEN_SCENARIOS,
+    OBSERVER_SCENARIOS,
+    canonical,
+    fixture_path,
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
@@ -26,6 +31,19 @@ def test_smoke_metrics_match_golden_fixture_exactly(name):
     actual = canonical(GOLDEN_SCENARIOS[name]().to_dict())
     assert actual == expected, (
         f"{name}: smoke metrics diverged from the golden fixture; if this "
+        f"change is intentional, regenerate via "
+        f"`PYTHONPATH=src python tests/golden/regen.py` and commit the diff"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVER_SCENARIOS))
+def test_observer_outputs_match_golden_fixture_exactly(name):
+    """Trace hash, probe digests, telemetry and profile call counts are pinned."""
+
+    expected = json.loads(fixture_path(name).read_text())
+    actual = canonical(OBSERVER_SCENARIOS[name]())
+    assert actual == expected, (
+        f"{name}: observer outputs diverged from the golden fixture; if this "
         f"change is intentional, regenerate via "
         f"`PYTHONPATH=src python tests/golden/regen.py` and commit the diff"
     )
@@ -57,6 +75,6 @@ def test_decode_first_with_free_prefill_reproduces_the_pre_prefill_golden():
 def test_golden_fixtures_are_canonical_json():
     # Fixtures must stay exactly as regen.py writes them (sorted keys,
     # 2-space indent, trailing newline) so regeneration diffs are minimal.
-    for name in GOLDEN_SCENARIOS:
+    for name in (*GOLDEN_SCENARIOS, *OBSERVER_SCENARIOS):
         text = fixture_path(name).read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
