@@ -43,7 +43,7 @@ def run_traced(scheduler: str, args: argparse.Namespace):
         telemetry_ms=args.telemetry_ms,
     ).validate()
     tracer = ChromeTracer()
-    metrics = scenario.run(tracer=tracer)
+    metrics = scenario.run(observers=[tracer])
     return metrics, tracer
 
 

@@ -17,7 +17,7 @@ machine-checked invariants:
   mutation outside ``__post_init__``, stray stdout prints.
 * :mod:`repro.analysis.runtime` -- the divergence localizer: per-step state
   digests (queue contents, batch composition, RNG stream position) recorded
-  through a zero-overhead probe hook on the serve/cluster simulators, plus
+  by a :class:`StepProbe` observer of the serving loop, plus
   ``check_determinism`` which runs a scenario twice and bisects to the first
   divergent step (``llamcat check --determinism``).
 * :mod:`repro.analysis.liveness` -- the kernel-sim liveness smoke: runs the

@@ -1,10 +1,10 @@
 """Runtime divergence localization for the serving simulators.
 
 Static rules catch nondeterminism *patterns*; this module catches
-nondeterminism *behavior*.  A :class:`StepProbe` -- installed through the same
-zero-overhead hook style as the tracer (``probe is None`` by default, one
-branch per step when off) -- records a :class:`StepDigest` for every costed
-scheduler iteration: the waiting queue, the running batch's exact progress,
+nondeterminism *behavior*.  A :class:`StepProbe` -- an
+:class:`~repro.obs.observer.Observer` of the serving loop, installed like any
+other sink -- records a :class:`StepDigest` for every costed scheduler
+iteration: the waiting queue, the running batch's exact progress,
 the step plan, its cycle cost and the arrival sampler's RNG stream position,
 all folded into a sha256 over a canonical JSON payload.
 
@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
+from repro.obs.observer import Observer
 from repro.serve.arrival import ArrivalProcess
 from repro.serve.request import Request
 from repro.sim.runner import clear_trace_cache
@@ -104,32 +105,24 @@ class StepDigest:
         }
 
 
-class StepProbe:
-    """Records per-step state digests; the simulators' third observability sink.
+class StepProbe(Observer):
+    """Records a state digest at every step the serving loop launches.
 
-    Like the tracer and telemetry recorder, the hook is zero-overhead when
-    unused: the simulators keep ``probe=None`` defaults and guard the single
-    call site with ``probe is not None``.  The ``arrival`` attribute is
-    installed by the simulator at run start so digests can include the RNG
-    stream position without threading it through every call.
+    :meth:`on_start` keeps the run's arrival process so each digest can
+    include the RNG stream position without threading it through every call.
     """
 
     def __init__(self) -> None:
         self.digests: list[StepDigest] = []
         self.arrival: ArrivalProcess | None = None
 
-    def record_step(
-        self,
-        *,
-        replica_id: int,
-        step: int,
-        start_s: float,
-        scheduler: Any,
-        plan: Any,
-        cycles: int,
-    ) -> None:
+    def on_start(self, arrival, replicas) -> None:
+        self.arrival = arrival
+
+    def on_step(self, replica, start_s, end_s, plan, cycles) -> None:
+        scheduler = replica.scheduler
         state = {
-            "replica": replica_id,
+            "replica": replica.replica_id,
             "start_s": start_s,
             "waiting": [
                 [r.request_id, r.arrival_s] for r in scheduler.waiting
@@ -150,8 +143,8 @@ class StepProbe:
         payload = _canonical(state)
         self.digests.append(
             StepDigest(
-                replica_id=replica_id,
-                step=step,
+                replica_id=replica.replica_id,
+                step=replica.steps,
                 start_s=start_s,
                 digest=hashlib.sha256(payload.encode()).hexdigest(),
                 payload=payload,
@@ -271,7 +264,7 @@ def collect_digests(
         simulator.arrival = wrap_arrival(simulator.arrival)
     probe = StepProbe()
     try:
-        simulator.run(probe=probe)
+        simulator.run(observers=[probe])
     finally:
         clear_trace_cache()
     return tuple(probe.digests)

@@ -425,8 +425,8 @@ def _simulate(args: argparse.Namespace, scenario) -> tuple[ChromeTracer | None, 
     """Run a serve/cluster scenario with the observability flags; print its summary."""
 
     tracer = ChromeTracer() if args.trace_out else None
-    profiler = Profiler()
-    metrics = scenario.run(tracer=tracer, profiler=profiler)
+    profiler = Profiler(scope=scenario.kind)
+    metrics = scenario.run(observers=[profiler] if tracer is None else [tracer, profiler])
     if args.metrics_sketch:
         metrics = metrics.with_sketch()
     logger.debug("profile:\n%s", profiler.summary())

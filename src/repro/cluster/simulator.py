@@ -32,7 +32,8 @@ from typing import Sequence
 from repro.cluster.metrics import ClusterMetrics, ReplicaMetrics
 from repro.cluster.router import Router
 from repro.common.errors import ConfigError
-from repro.obs.tracer import Tracer
+from repro.obs.observer import Observer
+from repro.obs.telemetry import TelemetryRecorder
 from repro.serve.arrival import ArrivalProcess
 from repro.serve.metrics import ServeSLO
 from repro.serve.simulator import ReplicaSim, complete_step, plan_cycles, run_loop
@@ -72,8 +73,6 @@ class ClusterSimulator:
             raise ConfigError("a cluster needs at least one replica")
         if kv_transfer_s < 0:
             raise ConfigError(f"kv_transfer_s must be >= 0, got {kv_transfer_s}")
-        if telemetry_ms is not None and telemetry_ms <= 0:
-            raise ConfigError(f"telemetry_ms must be positive, got {telemetry_ms}")
         self.replicas = list(replicas)
         prefill = [r for r in self.replicas if r.role == "prefill"]
         decode = [r for r in self.replicas if r.role == "decode"]
@@ -112,13 +111,15 @@ class ClusterSimulator:
         self.workload_name = workload_name
         self.router_name = router_name if router_name is not None else router.name
         self.telemetry_ms = telemetry_ms
-        #: Wall-clock profile of the fleet's step-cost tables; populated by
-        #: :meth:`run`, never serialized into metrics.
-        self.profile: dict = {}
 
-    def run(self, tracer: Tracer | None = None, probe=None) -> ClusterMetrics:
+    def run(self, observers: Sequence[Observer] = ()) -> ClusterMetrics:
+        recorder = (
+            None if self.telemetry_ms is None
+            else TelemetryRecorder(self.telemetry_ms * 1e-3, num_replicas=len(self.replicas))
+        )
         run = run_loop(
-            self.arrival, self.replicas, self.router, tracer, probe, self.telemetry_ms,
+            self.arrival, self.replicas, self.router,
+            observers if recorder is None else (*observers, recorder),
             decode_router=self.decode_router, kv_transfer_s=self.kv_transfer_s,
         )
         replicas = tuple(
@@ -167,7 +168,6 @@ class ClusterSimulator:
             meta["kv_peak_utilization"] = [m.peak_utilization for m in kv_managers]
             meta["kv_memory_bound_s"] = [r.mem_bound_s for r in self.replicas]
         meta.update(run.cost_meta)
-        self.profile = {"step_cost": run.step_cost}
         return ClusterMetrics(
             label=self.label,
             workload=self.workload_name,
@@ -176,5 +176,5 @@ class ClusterSimulator:
             replicas=replicas,
             slo=self.slo,
             meta=meta,
-            telemetry=run.telemetry,
+            telemetry=None if recorder is None else recorder.build(run.first_arrival_s),
         )

@@ -1,6 +1,8 @@
 """Observability for the serving stack: tracing, telemetry, and profiling.
 
-Three orthogonal instruments, all zero-overhead when off:
+The serving loop reports its events to :class:`~repro.obs.observer.Observer`
+sinks (:mod:`repro.obs.observer`); a run with none installed pays only for
+iterating an empty tuple.  The sinks here:
 
 * :mod:`repro.obs.tracer` -- per-request lifecycle spans and per-iteration
   scheduler decisions as Chrome ``trace_event`` JSON (Perfetto-loadable).
@@ -8,6 +10,10 @@ Three orthogonal instruments, all zero-overhead when off:
   occupancy, per-replica utilization, tokens/s) stored next to metrics.
 * :mod:`repro.obs.profile` -- wall-clock profiling of the simulator's own hot
   paths (step-cost builds, sweep points), kept out of deterministic outputs.
+
+:class:`repro.analysis.runtime.StepProbe` (per-step determinism digests) is
+the fourth.  Alongside them:
+
 * :mod:`repro.obs.metrics` -- mergeable metric primitives: log-bucketed
   quantile histograms with a guaranteed error bound, counters and gauges
   (the fixed-memory alternative to exact per-request percentile lists).
@@ -17,6 +23,7 @@ Three orthogonal instruments, all zero-overhead when off:
 """
 
 from repro.obs.metrics import DEFAULT_GROWTH, Counter, Gauge, Histogram
+from repro.obs.observer import Observer
 from repro.obs.profile import Profiler
 from repro.obs.telemetry import (
     MAX_TELEMETRY_SAMPLES,
@@ -30,10 +37,7 @@ from repro.obs.tracer import (
     CAT_HANDOFF,
     CAT_REQUEST,
     CAT_STEP,
-    NULL_TRACER,
     ChromeTracer,
-    Tracer,
-    trace_request,
     validate_trace,
 )
 
@@ -48,16 +52,14 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MAX_TELEMETRY_SAMPLES",
-    "NULL_TRACER",
+    "Observer",
     "Profiler",
     "StepEvent",
     "TelemetryRecorder",
     "TelemetrySample",
     "TelemetrySeries",
-    "Tracer",
     "render_timeline",
     "resample",
     "sparkline",
-    "trace_request",
     "validate_trace",
 ]

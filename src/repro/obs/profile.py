@@ -6,9 +6,15 @@ execution, serialization -- so a slow sweep can be blamed on the right stage.
 Sections nest freely and repeat; each named section accumulates total seconds
 and a call count.
 
+A profiler is also an :class:`~repro.obs.observer.Observer` of the serving
+loop: when a run drains it folds each distinct step-cost table's
+``profile()`` into ``<scope>.step_cost_build`` (table-build wall time, one
+call per simulated shape) and ``<scope>.step_cost_hit`` (lookups served from
+the table).
+
 Wall-clock numbers are inherently non-deterministic, so they are kept out of
-metrics objects and golden fixtures: simulators expose them via a ``profile``
-attribute and the CLI prints them only at debug verbosity.
+metrics objects and golden fixtures: the CLI prints them only at debug
+verbosity.
 """
 
 from __future__ import annotations
@@ -17,13 +23,31 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.obs.observer import Observer
+
 
 @dataclass(slots=True)
-class Profiler:
+class Profiler(Observer):
     """Accumulate wall-clock seconds and call counts per named section."""
 
     seconds: dict[str, float] = field(default_factory=dict)
     calls: dict[str, int] = field(default_factory=dict)
+    #: Prefix of the step-cost sections recorded by :meth:`on_finish` (the
+    #: scenario kind: ``serve`` or ``cluster``).
+    scope: str = ""
+
+    def on_finish(self, replicas) -> None:
+        """Fold the step-cost tables' build and hit counts into the profile."""
+
+        # Homogeneous fleets share one table; count each table once.
+        for table in {id(r.cost_model): r.cost_model for r in replicas}.values():
+            profile = table.profile()
+            if profile:
+                self.add(
+                    f"{self.scope}.step_cost_build", profile.get("build_wall_s", 0.0),
+                    calls=profile.get("misses", 0),
+                )
+                self.count(f"{self.scope}.step_cost_hit", profile.get("hits", 0))
 
     @contextmanager
     def section(self, name: str):

@@ -1,10 +1,11 @@
 """Time-series telemetry: queue depth, batch occupancy, utilization, tokens/s.
 
 End-of-run aggregates say *how well* a run did; telemetry says *when*.  A
-:class:`TelemetryRecorder` collects one raw observation per scheduler
-iteration (replica, step span, queue depth, batch size, tokens produced) while
-a simulation runs, then :meth:`TelemetryRecorder.build` folds the raw stream
-into a fixed-cadence :class:`TelemetrySeries` -- one :class:`TelemetrySample`
+:class:`TelemetryRecorder`, an :class:`~repro.obs.observer.Observer` of the
+serving loop, collects one raw observation per scheduler iteration (replica,
+step span, queue depth, batch size, tokens produced) while a simulation runs,
+then :meth:`TelemetryRecorder.build` folds the raw stream into a
+fixed-cadence :class:`TelemetrySeries` -- one :class:`TelemetrySample`
 per interval, with per-replica busy time split exactly across interval
 boundaries.  The series rides inside the run's metrics object, so it
 round-trips through the JSONL result store and renders via ``llamcat
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigError
 from repro.common.mathutils import safe_div
+from repro.obs.observer import Observer
 
 #: Hard cap on samples per series -- protects the JSONL store from a cadence
 #: far finer than the run (raise the interval instead of storing megabytes).
@@ -207,13 +209,14 @@ class TelemetrySeries:
 
 
 @dataclass(slots=True)
-class TelemetryRecorder:
+class TelemetryRecorder(Observer):
     """Collect raw step observations during a run; bucket them afterwards.
 
-    The simulators call :meth:`on_step` once per costed iteration and
-    :meth:`observe` on load changes that consume no time (idle jumps);
-    recording is append-only and allocation-light so sampling never perturbs
-    the simulated timeline.
+    As an observer, it records one :class:`StepEvent` per costed iteration
+    (:meth:`on_step`) and a zero-width one whenever a replica is left with an
+    empty batch (:meth:`on_idle`); recording is append-only and
+    allocation-light.  The serving drivers install one when a run asks for
+    ``telemetry_ms`` and :meth:`build` the series after the loop drains.
     """
 
     interval_s: float
@@ -221,36 +224,34 @@ class TelemetryRecorder:
     events: list[StepEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
+        # The one check of the sampling cadence: NaN or inf would simulate the
+        # whole run and only then fail (or store an Infinity interval).
+        if not (math.isfinite(self.interval_s) and self.interval_s > 0):
             raise ConfigError(
-                f"telemetry interval must be positive, got {self.interval_s}"
+                f"telemetry interval must be positive and finite, got {self.interval_s}"
             )
         if self.num_replicas <= 0:
             raise ConfigError(
                 f"telemetry num_replicas must be positive, got {self.num_replicas}"
             )
 
-    def on_step(
-        self,
-        replica: int,
-        start_s: float,
-        end_s: float,
-        queue_depth: int,
-        running: int,
-        tokens: int,
-    ) -> None:
-        """Record one costed scheduler iteration."""
+    def on_step(self, replica, start_s, end_s, plan, cycles) -> None:
+        """Record one costed iteration; its decode tokens are its output."""
 
+        scheduler = replica.scheduler
         self.events.append(
-            StepEvent(replica, start_s, end_s, queue_depth, running, tokens)
+            StepEvent(
+                replica.replica_id, start_s, end_s, len(scheduler.waiting),
+                len(scheduler.running), len(plan.decode),
+            )
         )
 
-    def observe(
-        self, replica: int, t_s: float, queue_depth: int, running: int
-    ) -> None:
-        """Record an instantaneous load observation (no busy time)."""
+    def on_idle(self, replica, now_s) -> None:
+        """Record the load of an empty batch (no busy time)."""
 
-        self.events.append(StepEvent(replica, t_s, t_s, queue_depth, running, 0))
+        self.events.append(
+            StepEvent(replica.replica_id, now_s, now_s, len(replica.scheduler.waiting), 0, 0)
+        )
 
     def build(self, t0_s: float, end_s: float | None = None) -> TelemetrySeries:
         """Fold the raw events into a fixed-cadence series over [t0_s, end_s].

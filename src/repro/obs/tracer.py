@@ -1,21 +1,20 @@
 """Event tracing: per-request lifecycle and per-iteration scheduler decisions.
 
 The serving stack reports *aggregates* (p95 TTFT, utilization, imbalance);
-tracing records *why* they came out that way.  A :class:`Tracer` receives the
-raw timeline of a run -- request lifecycle spans (queued -> prefill -> decode
--> complete, plus KV-transfer handoffs on disaggregated fleets) and one event
-per scheduler iteration carrying the :class:`~repro.serve.schedpolicy.StepPlan`
-composition, batch shape and cycle cost -- and the simulators stay oblivious
-to where those events go.
+tracing records *why* they came out that way.  :class:`ChromeTracer` is an
+:class:`~repro.obs.observer.Observer` of the serving loop that turns its
+events into a timeline: one span per scheduler iteration carrying the
+:class:`~repro.serve.schedpolicy.StepPlan` composition, batch shape and cycle
+cost, KV-transfer spans and handoff instants on disaggregated fleets, and,
+once the run drains, each request's lifecycle spans (queued -> prefill ->
+decode -> complete).  The serving loop does not know the format: it only
+calls the observer hooks, and a run without a tracer builds no trace data.
 
-Two implementations exist:
-
-* :class:`Tracer` itself is the null default: every hook is a no-op and
-  ``enabled`` is False, so the simulators' emission sites are skipped entirely
-  (``if tracer.enabled:``) and a run without tracing stays bit-for-bit -- and
-  allocation-for-allocation -- identical to a pre-tracing run.
-* :class:`ChromeTracer` records Chrome ``trace_event`` JSON, the format
-  Perfetto (https://ui.perfetto.dev) and ``chrome://tracing`` load directly.
+The output is Chrome ``trace_event`` JSON, the format Perfetto
+(https://ui.perfetto.dev) and ``chrome://tracing`` load directly.  Each
+replica is a process (pid = replica id) with a "scheduler" thread; request
+lanes live in one extra "requests" process, pid = number of replicas, one
+thread per request id.
 
 Timestamps are *simulated* seconds (converted to the format's microseconds),
 never wall clock, so a seeded run emits a byte-identical trace every time --
@@ -28,6 +27,7 @@ import json
 from pathlib import Path
 
 from repro.common.errors import ConfigError
+from repro.obs.observer import Observer
 
 #: Event categories, used by trace viewers to filter tracks.
 CAT_REQUEST = "request"
@@ -41,70 +41,24 @@ _US_PER_S = 1e6
 _PHASES = {"X", "i", "M"}
 
 
-class Tracer:
-    """The tracing interface -- and, as-is, the zero-overhead null tracer.
+class ChromeTracer(Observer):
+    """Record events as Chrome ``trace_event`` JSON (Perfetto-loadable).
 
     ``complete`` records a duration span ``[start_s, end_s]`` and ``instant``
     a point event; ``pid``/``tid`` place events on Perfetto's process/thread
-    tracks (the serving stack uses pids for replicas and one extra pid for the
-    request lanes, tids for request ids).  ``name_process``/``name_thread``
-    attach human-readable track labels.  Hot loops must guard emission with
-    ``if tracer.enabled:`` so a disabled run never builds args dicts.
+    tracks and ``name_process``/``name_thread`` label them.  The ``on_*``
+    observer hooks build the serving loop's timeline from these.  Events
+    accumulate in emission order; :meth:`write` serializes them with sorted
+    keys and canonical separators, so a deterministic simulation produces a
+    byte-identical trace file on every run.
     """
-
-    enabled = False
-
-    def name_process(self, pid: int, name: str) -> None:
-        pass
-
-    def name_thread(self, pid: int, tid: int, name: str) -> None:
-        pass
-
-    def complete(
-        self,
-        name: str,
-        cat: str,
-        pid: int,
-        tid: int,
-        start_s: float,
-        end_s: float,
-        args: dict | None = None,
-    ) -> None:
-        pass
-
-    def instant(
-        self,
-        name: str,
-        cat: str,
-        pid: int,
-        tid: int,
-        ts_s: float,
-        args: dict | None = None,
-    ) -> None:
-        pass
-
-    def write(self, path) -> None:
-        pass
-
-
-#: The shared null tracer: simulators default to this instance.
-NULL_TRACER = Tracer()
-
-
-class ChromeTracer(Tracer):
-    """Record events as Chrome ``trace_event`` JSON (Perfetto-loadable).
-
-    Events accumulate in emission order; :meth:`write` serializes them with
-    sorted keys and canonical separators, so a deterministic simulation
-    produces a byte-identical trace file on every run.
-    """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: list[dict] = []
         self._process_names: dict[int, str] = {}
         self._thread_names: dict[tuple[int, int], str] = {}
+        #: The request lanes' pid, one past the replica pids (set by on_start).
+        self._requests_pid = 0
 
     def __len__(self) -> int:
         return len(self.events)
@@ -165,6 +119,85 @@ class ChromeTracer(Tracer):
             event["args"] = args
         self.events.append(event)
 
+    # -- serving-loop observer hooks ------------------------------------------------
+    def on_start(self, arrival, replicas) -> None:
+        for replica in replicas:
+            self.name_process(
+                replica.replica_id, f"replica {replica.replica_id} [{replica.role}]"
+            )
+            self.name_thread(replica.replica_id, 0, "scheduler")
+        self._requests_pid = len(replicas)
+        self.name_process(self._requests_pid, "requests")
+
+    def on_step(self, replica, start_s, end_s, plan, cycles) -> None:
+        args = plan.trace_args(replica.scheduler.config.seq_bucket_floor)
+        args["cycles"] = cycles
+        self.complete("step", CAT_STEP, replica.replica_id, 0, start_s, end_s, args=args)
+
+    def on_transfer(self, replica, active, start_s, end_s) -> None:
+        self.complete(
+            "kv-transfer", CAT_HANDOFF, self._requests_pid, active.request.request_id,
+            start_s, end_s, args={"from_replica": replica.replica_id},
+        )
+
+    def on_handoff(self, replica, active, ready_s) -> None:
+        self.instant(
+            "handoff", CAT_HANDOFF, self._requests_pid, active.request.request_id,
+            ready_s, args={"to_replica": replica.replica_id},
+        )
+
+    def on_finish(self, replicas) -> None:
+        # Lifecycle spans per completed request, in (replica, id) order --
+        # trace viewers sort by timestamp, so emission order only needs to be
+        # deterministic, not chronological.
+        for replica in replicas:
+            for record in replica.completed:
+                self.trace_request(record, self._requests_pid)
+
+    def trace_request(self, record, pid: int) -> None:
+        """Emit one completed request's lifecycle spans onto its own track.
+
+        ``record`` is any object with the :class:`~repro.serve.metrics.
+        RequestMetrics` timestamp fields; each request occupies ``tid =
+        request_id`` under the ``pid`` request lane, giving Perfetto one
+        swimlane per request: queued (arrival -> admission), prefill
+        (admission -> last prompt token, when the run models prefill), decode
+        (to the final token) and a ``complete`` instant.
+        """
+
+        tid = record.request_id
+        self.complete("queued", CAT_REQUEST, pid, tid, record.arrival_s, record.admitted_s)
+        decode_start_s = record.admitted_s
+        if record.prefill_end_s is not None:
+            self.complete(
+                "prefill",
+                CAT_REQUEST,
+                pid,
+                tid,
+                record.admitted_s,
+                record.prefill_end_s,
+                args={"prompt_tokens": record.prompt_tokens},
+            )
+            decode_start_s = record.prefill_end_s
+        self.complete(
+            "decode",
+            CAT_REQUEST,
+            pid,
+            tid,
+            decode_start_s,
+            record.finish_s,
+            args={"output_tokens": record.output_tokens},
+        )
+        self.instant(
+            "complete",
+            CAT_REQUEST,
+            pid,
+            tid,
+            record.finish_s,
+            args={"latency_ms": (record.finish_s - record.arrival_s) * 1e3},
+        )
+
+    # -- output ----------------------------------------------------------------------
     def trace_dict(self) -> dict:
         """The complete trace as JSON-able data (metadata events first)."""
 
@@ -203,52 +236,6 @@ class ChromeTracer(Tracer):
         """Serialize the trace to ``path`` (canonical JSON + trailing newline)."""
 
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
-
-def trace_request(tracer: Tracer, record, pid: int) -> None:
-    """Emit one completed request's lifecycle spans onto its own track.
-
-    ``record`` is any object with the :class:`~repro.serve.metrics.
-    RequestMetrics` timestamp fields; each request occupies ``tid =
-    request_id`` under the ``pid`` request lane, giving Perfetto one swimlane
-    per request: queued (arrival -> admission), prefill (admission -> last
-    prompt token, when the run models prefill), decode (to the final token)
-    and a ``complete`` instant.
-    """
-
-    tid = record.request_id
-    tracer.complete(
-        "queued", CAT_REQUEST, pid, tid, record.arrival_s, record.admitted_s
-    )
-    decode_start_s = record.admitted_s
-    if record.prefill_end_s is not None:
-        tracer.complete(
-            "prefill",
-            CAT_REQUEST,
-            pid,
-            tid,
-            record.admitted_s,
-            record.prefill_end_s,
-            args={"prompt_tokens": record.prompt_tokens},
-        )
-        decode_start_s = record.prefill_end_s
-    tracer.complete(
-        "decode",
-        CAT_REQUEST,
-        pid,
-        tid,
-        decode_start_s,
-        record.finish_s,
-        args={"output_tokens": record.output_tokens},
-    )
-    tracer.instant(
-        "complete",
-        CAT_REQUEST,
-        pid,
-        tid,
-        record.finish_s,
-        args={"latency_ms": (record.finish_s - record.arrival_s) * 1e3},
-    )
 
 
 def validate_trace(data) -> int:

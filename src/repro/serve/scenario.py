@@ -19,11 +19,12 @@ import argparse
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Self
+from typing import Any, ClassVar, Self, Sequence
 
 from repro.common.errors import ConfigError
 from repro.config.scale import ScaleTier, scale_system
 from repro.config.system import SystemConfig
+from repro.obs.observer import Observer
 from repro.registry import (
     resolve_arrival,
     resolve_policy,
@@ -318,32 +319,21 @@ class ServingScenario:
     def build_simulator(self) -> Any:
         raise NotImplementedError
 
-    def run(self, tracer=None, profiler=None, probe=None) -> Any:
+    def run(self, observers: Sequence[Observer] = ()) -> Any:
         """Simulate this point and return its metrics.
 
         The run ends by clearing the module-level trace cache: its up to
         ``max_batch x seq-buckets`` step traces per system preset would
         otherwise linger into (and LRU-evict the traces of) whatever a
-        long-lived process runs next.  ``tracer`` (event timeline),
-        ``profiler`` (wall-clock profile, as ``"<kind>.step_cost_build"``) and
-        ``probe`` (per-step determinism digests) are side channels that never
+        long-lived process runs next.  ``observers`` (see
+        :class:`~repro.obs.observer.Observer`) see the run's events and never
         influence the metrics.
         """
 
-        simulator = self.build_simulator()
         try:
-            metrics = simulator.run(tracer=tracer, probe=probe)
+            return self.build_simulator().run(observers)
         finally:
             clear_trace_cache()
-        if profiler is not None:
-            for step_cost in simulator.profile["step_cost"]:
-                profiler.add(
-                    f"{self.kind}.step_cost_build",
-                    step_cost.get("build_wall_s", 0.0),
-                    calls=step_cost.get("misses", 0),
-                )
-                profiler.count(f"{self.kind}.step_cost_hit", step_cost.get("hits", 0))
-        return metrics
 
 
 @dataclass(frozen=True, slots=True)

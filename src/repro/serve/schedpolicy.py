@@ -30,7 +30,7 @@ from typing import Sequence
 
 from repro.common.errors import ConfigError
 from repro.registry import register_scheduler
-from repro.serve.scheduler import ActiveRequest
+from repro.serve.scheduler import ActiveRequest, bucket_context
 
 #: Default token budget of one chunked-prefill iteration.
 DEFAULT_PREFILL_CHUNK = 256
@@ -82,12 +82,16 @@ class StepPlan:
 
         return max(active.context_tokens for active in self.decode)
 
-    def trace_args(self) -> dict:
-        """The plan's composition as trace-event args (for step spans)."""
+    def trace_args(self, seq_bucket_floor: int) -> dict:
+        """The plan's composition as trace-event args (for step spans).
+
+        ``seq_bucket`` is the decode context bucket the step was priced at.
+        """
 
         args: dict = {"decode": len(self.decode)}
         if self.decode:
             args["decode_context"] = self.decode_context()
+            args["seq_bucket"] = bucket_context(args["decode_context"], seq_bucket_floor)
         if self.prefill:
             args["prefill_reqs"] = len(self.prefill)
             args["prefill_tokens"] = self.prefill_tokens

@@ -7,8 +7,8 @@ and each step is one cycle-engine evaluation:
 1. :meth:`ReplicaSim.maybe_start_step` admits arrived requests into free batch
    slots (FCFS), funds decode growth under the KV budget (preempting if it
    must), asks the policy for this iteration's mix of prefill chunks and
-   decode tokens, prices it with :func:`plan_cycles` and records the step
-   with every installed observer (determinism probe, tracer, telemetry);
+   decode tokens, prices it with :func:`plan_cycles` and reports the step to
+   every installed :class:`~repro.obs.observer.Observer`;
 2. :meth:`ReplicaSim.finish_step` applies the plan through
    :func:`complete_step` -- prompt chunks shrink ``prefill_remaining``,
    decodes credit one output token -- and evicts the finished requests.
@@ -22,10 +22,11 @@ legacy decode-only scheduler.
 request of the arrival stream to a replica at its arrival instant, starts and
 ends steps, delivers prefill-to-decode handoffs, jumps the clock to the next
 event (so idle gaps cost nothing to simulate), feeds closed-loop follow-ups
-back into the stream and raises a structured stall report for a run that
-cannot drain.  Two drivers build their metrics from the drained replicas:
-:class:`ServingSimulator` runs one accelerator as a one-replica round-robin
-fleet and assembles :class:`~repro.serve.metrics.ServeMetrics`;
+back into the stream, reports each event to the installed observers and
+raises a structured stall report for a run that cannot drain.  Two drivers
+build their metrics from the drained replicas: :class:`ServingSimulator` runs
+one accelerator as a one-replica round-robin fleet and assembles
+:class:`~repro.serve.metrics.ServeMetrics`;
 :class:`~repro.cluster.simulator.ClusterSimulator` runs N replicas behind its
 routers and assembles :class:`~repro.cluster.metrics.ClusterMetrics`.  The loop
 is fully deterministic: a seeded arrival stream plus a deterministic cost model
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from repro.common.errors import ConfigError, LivelockError
-from repro.obs.telemetry import TelemetryRecorder, TelemetrySeries
-from repro.obs.tracer import CAT_HANDOFF, CAT_STEP, NULL_TRACER, Tracer, trace_request
+from repro.obs.observer import Observer
+from repro.obs.telemetry import TelemetryRecorder
 from repro.serve.arrival import ArrivalProcess
 from repro.serve.metrics import RequestMetrics, ServeMetrics, ServeSLO
 from repro.serve.schedpolicy import (
@@ -288,11 +289,8 @@ class ReplicaSim:
         self.routed = 0
         self.handoffs = 0
         self.completed: list[RequestMetrics] = []
-        #: Observability sinks, installed by the driving loop (the null
-        #: defaults keep standalone replicas zero-overhead).
-        self.tracer: Tracer = NULL_TRACER
-        self.recorder: TelemetryRecorder | None = None
-        self.probe = None
+        #: Installed by :func:`run_loop`; told of every step and idle batch.
+        self.observers: Sequence[Observer] = ()
 
     # -- load signals (read by routers) ------------------------------------------------
     @property
@@ -350,8 +348,8 @@ class ReplicaSim:
         while True:
             scheduler.admit(now_s)
             if not scheduler.running:
-                if self.recorder is not None:
-                    self.recorder.observe(self.replica_id, now_s, len(scheduler.waiting), 0)
+                for observer in self.observers:
+                    observer.on_idle(self, now_s)
                 return False
             preempted = scheduler.ensure_kv_growth(now_s)
             plan = self.policy.plan(scheduler.running)
@@ -374,15 +372,6 @@ class ReplicaSim:
             if plan.prefill:
                 self.prefill_steps += 1
                 self.prefill_tokens += plan.prefill_tokens
-            if self.probe is not None:
-                self.probe.record_step(
-                    replica_id=self.replica_id,
-                    step=self.steps,
-                    start_s=now_s,
-                    scheduler=scheduler,
-                    plan=plan,
-                    cycles=cycles,
-                )
             duration_s = cycles / self._cycles_per_s
             self.busy_s += duration_s
             end_s = self.step_end_s = now_s + duration_s
@@ -390,27 +379,10 @@ class ReplicaSim:
                 self.mem_bound_s += duration_s
                 self.mem_bound_span_s += end_s - now_s
             self._plan = plan
-            # The step's span is fully known at launch, so both sinks record
+            # The step's span is fully known at launch, so observers see it
             # here; completion only applies the plan.
-            if self.tracer.enabled:
-                args = plan.trace_args()
-                args["cycles"] = cycles
-                if plan.decode:
-                    args["seq_bucket"] = bucket_context(
-                        plan.decode_context(), scheduler.config.seq_bucket_floor
-                    )
-                self.tracer.complete(
-                    "step", CAT_STEP, self.replica_id, 0, now_s, end_s, args=args
-                )
-            if self.recorder is not None:
-                self.recorder.on_step(
-                    self.replica_id,
-                    now_s,
-                    end_s,
-                    len(scheduler.waiting),
-                    len(scheduler.running),
-                    len(plan.decode),
-                )
+            for observer in self.observers:
+                observer.on_step(self, now_s, end_s, plan, cycles)
             return True
 
     def finish_step(self) -> list[tuple[ActiveRequest, RequestMetrics]]:
@@ -440,12 +412,9 @@ class LoopRun:
     first_arrival_s: float
     #: The clock when the last event fired.
     end_s: float
-    telemetry: TelemetrySeries | None
     #: ``step_cost_entries``/``step_simulations`` summed over the distinct
     #: step-cost tables; empty when a table does not report its size.
     cost_meta: dict
-    #: The non-empty ``profile()`` of each distinct step-cost table.
-    step_cost: list
 
 
 def _select(router: Router, group: Sequence[ReplicaSim], request, now_s: float) -> ReplicaSim:
@@ -461,9 +430,7 @@ def run_loop(
     arrival: ArrivalProcess,
     replicas: Sequence[ReplicaSim],
     router: Router,
-    tracer: Tracer | None = None,
-    probe=None,
-    telemetry_ms: float | None = None,
+    observers: Sequence[Observer] = (),
     decode_router: Router | None = None,
     kv_transfer_s: float = 0.0,
     fleet: bool = True,
@@ -483,39 +450,21 @@ def run_loop(
     heaps order equal timestamps by request id, so a seeded run reproduces
     every routing decision and timestamp bit-for-bit.
 
-    Installs ``tracer``, ``probe`` and (with ``telemetry_ms``) a telemetry
-    recorder on every replica, and id-sorts each replica's completed records
-    once the run drains.  A run that cannot drain -- it outgrows a budget of
-    :data:`MAX_STEPS` steps per replica, or work remains with no event left to
-    fire -- raises a :class:`~repro.common.errors.LivelockError`; with
-    ``fleet=False`` (the single accelerator) the stall report says "serve
-    loop" instead of naming the replica.
+    Installs ``observers`` on every replica, reports the run's events to them
+    (see :class:`~repro.obs.observer.Observer`) and id-sorts each replica's
+    completed records once the run drains.  A run that cannot drain -- it
+    outgrows a budget of :data:`MAX_STEPS` steps per replica, or work remains
+    with no event left to fire -- raises a
+    :class:`~repro.common.errors.LivelockError`; with ``fleet=False`` (the
+    single accelerator) the stall report says "serve loop" instead of naming
+    the replica.
     """
 
-    tracer = NULL_TRACER if tracer is None else tracer
-    if probe is not None:
-        # The determinism probe (repro.analysis.runtime.StepProbe) digests
-        # per-replica scheduler state and reads the arrival's RNG position
-        # through this attribute rather than per-call plumbing.
-        probe.arrival = arrival
-    recorder = (
-        TelemetryRecorder(interval_s=telemetry_ms * 1e-3, num_replicas=len(replicas))
-        if telemetry_ms is not None
-        else None
-    )
-    # Replica pids are their ids; the per-request swimlanes live one past.
-    requests_pid = len(replicas)
-    if tracer.enabled:
-        for replica in replicas:
-            tracer.name_process(
-                replica.replica_id, f"replica {replica.replica_id} [{replica.role}]"
-            )
-            tracer.name_thread(replica.replica_id, 0, "scheduler")
-        tracer.name_process(requests_pid, "requests")
+    observers = tuple(observers)
+    for observer in observers:
+        observer.on_start(arrival, replicas)
     for replica in replicas:
-        replica.tracer = tracer
-        replica.recorder = recorder
-        replica.probe = probe
+        replica.observers = observers
     disaggregated = decode_router is not None
     prefill_replicas = [r for r in replicas if r.role == "prefill"]
     decode_replicas = [r for r in replicas if r.role == "decode"]
@@ -546,12 +495,8 @@ def run_loop(
     def collect_handoffs(now_s: float) -> None:
         for replica in prefill_replicas:
             for active in replica.take_handoffs():
-                if tracer.enabled:
-                    tracer.complete(
-                        "kv-transfer", CAT_HANDOFF, requests_pid,
-                        active.request.request_id, now_s, now_s + kv_transfer_s,
-                        args={"from_replica": replica.replica_id},
-                    )
+                for observer in observers:
+                    observer.on_transfer(replica, active, now_s, now_s + kv_transfer_s)
                 heapq.heappush(
                     handoffs, (now_s + kv_transfer_s, active.request.request_id, active)
                 )
@@ -575,11 +520,8 @@ def run_loop(
             ready_s, _, active = heapq.heappop(handoffs)
             assert decode_router is not None
             replica = _select(decode_router, decode_replicas, active.request, now_s)
-            if tracer.enabled:
-                tracer.instant(
-                    "handoff", CAT_HANDOFF, requests_pid, active.request.request_id,
-                    ready_s, args={"to_replica": replica.replica_id},
-                )
+            for observer in observers:
+                observer.on_handoff(replica, active, ready_s)
             replica.enqueue(HandoffRequest(active=active, arrival_s=ready_s))
 
         # Launch steps on every idle replica with admissible work, and find
@@ -633,12 +575,8 @@ def run_loop(
 
     for replica in replicas:
         replica.completed.sort(key=lambda r: r.request_id)
-        if tracer.enabled:
-            # Lifecycle spans per completed request, in (replica, id) order --
-            # trace viewers sort by timestamp, so emission order only needs
-            # to be deterministic, not chronological.
-            for record in replica.completed:
-                trace_request(tracer, record, requests_pid)
+    for observer in observers:
+        observer.on_finish(replicas)
     # Homogeneous fleets share cost models; report the distinct tables.
     tables = list({id(r.cost_model): r.cost_model for r in replicas}.values())
     sizes = [getattr(m, "table_size", None) for m in tables]
@@ -648,18 +586,11 @@ def run_loop(
         cost_meta["step_simulations"] = sum(
             getattr(m, "simulations", size) for m, size in zip(tables, sizes, strict=True)
         )
-    step_cost = [profile for m in tables if (profile := m.profile())]
     logger.debug(
-        "serving loop: %d replicas, %d steps, %d requests, step_cost=%s",
-        len(replicas), launched, sum(len(r.completed) for r in replicas), step_cost,
+        "serving loop: %d replicas, %d steps, %d requests",
+        len(replicas), launched, sum(len(r.completed) for r in replicas),
     )
-    return LoopRun(
-        first_arrival_s=first_arrival_s,
-        end_s=now_s,
-        telemetry=recorder.build(first_arrival_s) if recorder is not None else None,
-        cost_meta=cost_meta,
-        step_cost=step_cost,
-    )
+    return LoopRun(first_arrival_s=first_arrival_s, end_s=now_s, cost_meta=cost_meta)
 
 
 class ServingSimulator:
@@ -684,8 +615,6 @@ class ServingSimulator:
     ) -> None:
         if frequency_ghz <= 0:
             raise ConfigError(f"frequency_ghz must be positive, got {frequency_ghz}")
-        if telemetry_ms is not None and telemetry_ms <= 0:
-            raise ConfigError(f"telemetry_ms must be positive, got {telemetry_ms}")
         self.arrival = arrival
         self.cost_model = cost_model
         self.frequency_ghz = frequency_ghz
@@ -695,11 +624,8 @@ class ServingSimulator:
         self.label = label
         self.workload_name = workload_name
         self.telemetry_ms = telemetry_ms
-        #: Wall-clock profile of the run's hot paths (step-cost table builds);
-        #: populated by :meth:`run`, never serialized into metrics.
-        self.profile: dict = {}
 
-    def run(self, tracer: Tracer | None = None, probe=None) -> ServeMetrics:
+    def run(self, observers: Sequence[Observer] = ()) -> ServeMetrics:
         # Imported here: repro.cluster imports this module.
         from repro.cluster.router import RoundRobinRouter
 
@@ -707,9 +633,12 @@ class ServingSimulator:
             0, self.cost_model, self.frequency_ghz, batch=self.batch_config,
             policy=self.policy,
         )
+        recorder = (
+            None if self.telemetry_ms is None else TelemetryRecorder(self.telemetry_ms * 1e-3)
+        )
         run = run_loop(
-            self.arrival, [replica], RoundRobinRouter(1), tracer, probe,
-            self.telemetry_ms, fleet=False,
+            self.arrival, [replica], RoundRobinRouter(1),
+            observers if recorder is None else (*observers, recorder), fleet=False,
         )
         scheduler = replica.scheduler
         completed = replica.completed
@@ -743,7 +672,6 @@ class ServingSimulator:
                 replica.mem_bound_span_s / duration_s if duration_s > 0 else 0.0
             )
         meta.update(run.cost_meta)
-        self.profile = {"step_cost": run.step_cost}
         return ServeMetrics(
             label=self.label,
             workload=self.workload_name,
@@ -754,5 +682,5 @@ class ServingSimulator:
             requests=tuple(completed),
             slo=self.slo,
             meta=meta,
-            telemetry=run.telemetry,
+            telemetry=None if recorder is None else recorder.build(run.first_arrival_s),
         )

@@ -263,8 +263,8 @@ class SimStepCostModel(StepCostModel):
 
         ``misses`` equals :attr:`simulations`; ``build_wall_s`` is the real
         time spent inside the cycle engine.  Wall-clock figures never enter
-        metrics objects -- they are surfaced via simulator ``profile``
-        attributes and debug logging only.
+        metrics objects -- the :class:`~repro.obs.profile.Profiler` observer
+        and debug logging surface them.
         """
 
         return {

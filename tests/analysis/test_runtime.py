@@ -71,7 +71,7 @@ class TestStepProbe:
     def test_records_one_digest_per_costed_step(self):
         simulator = TinyServeScenario().build_simulator()
         probe = StepProbe()
-        metrics = simulator.run(probe=probe)
+        metrics = simulator.run(observers=[probe])
         assert len(probe.digests) == metrics.steps
         assert [d.step for d in probe.digests] == list(
             range(1, metrics.steps + 1)
@@ -79,7 +79,7 @@ class TestStepProbe:
 
     def test_probe_never_perturbs_metrics(self):
         bare = TinyServeScenario().build_simulator().run()
-        probed = TinyServeScenario().build_simulator().run(probe=StepProbe())
+        probed = TinyServeScenario().build_simulator().run(observers=[StepProbe()])
         assert bare.to_dict() == probed.to_dict()
 
     def test_digest_payload_is_canonical_json(self):

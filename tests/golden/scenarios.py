@@ -138,9 +138,9 @@ def observer_outputs(scenario) -> dict:
     (wall time is left out; it differs on every run).
     """
 
-    tracer, probe, profiler = ChromeTracer(), StepProbe(), Profiler()
+    tracer, probe, profiler = ChromeTracer(), StepProbe(), Profiler(scope=scenario.kind)
     metrics = replace(scenario, telemetry_ms=1.0).validate().run(
-        tracer=tracer, probe=probe, profiler=profiler
+        observers=[tracer, probe, profiler]
     )
     return {
         "trace_sha256": hashlib.sha256(tracer.to_json().encode()).hexdigest(),

@@ -1,22 +1,26 @@
 """End-to-end observability: tracing and telemetry through real simulations.
 
-These tests pin the two contracts the observability layer lives by: with
+These tests pin the contracts the observability layer lives by: with
 tracing/telemetry *off*, runs are bit-identical to pre-observability runs
 (covered by the golden-fixture suite); with them *on*, the emitted trace is
-deterministic and the sampled telemetry integrates to the same busy time the
-headline aggregates report.
+deterministic, the sampled telemetry integrates to the same busy time the
+headline aggregates report, and observers compose -- installing all of them
+at once changes neither the metrics nor what any one of them records.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis.runtime import StepProbe
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.scenario import ClusterScenario
 from repro.config.scale import ScaleTier
 from repro.obs import ChromeTracer, Profiler, validate_trace
+from repro.registry import SYSTEMS, WORKLOADS, register_system, register_workload
 from repro.serve.metrics import ServeMetrics
 from repro.serve.scenario import ServeScenario
 
@@ -55,7 +59,7 @@ class TestServeTracing:
         paths = []
         for name in ("a.json", "b.json"):
             tracer = ChromeTracer()
-            serve_scenario().run(tracer=tracer)
+            serve_scenario().run(observers=[tracer])
             path = tmp_path / name
             tracer.write(path)
             paths.append(path)
@@ -65,7 +69,7 @@ class TestServeTracing:
 
     def test_trace_carries_request_and_scheduler_tracks(self):
         tracer = ChromeTracer()
-        metrics = serve_scenario().run(tracer=tracer)
+        metrics = serve_scenario().run(observers=[tracer])
         events = tracer.trace_dict()["traceEvents"]
         names = {e["name"] for e in events}
         assert {"queued", "prefill", "decode", "complete", "step"} <= names
@@ -80,12 +84,12 @@ class TestServeTracing:
 
     def test_tracing_does_not_change_metrics(self):
         baseline = serve_scenario().run()
-        traced = serve_scenario().run(tracer=ChromeTracer())
+        traced = serve_scenario().run(observers=[ChromeTracer()])
         assert traced == baseline
 
     def test_profiler_collects_step_cost_sections(self):
-        profiler = Profiler()
-        serve_scenario().run(profiler=profiler)
+        profiler = Profiler(scope="serve")
+        serve_scenario().run(observers=[profiler])
         data = profiler.as_dict()
         assert data["serve.step_cost_build"]["calls"] > 0
         assert data["serve.step_cost_build"]["wall_s"] > 0.0
@@ -133,14 +137,14 @@ class TestClusterTracing:
         blobs = []
         for _ in range(2):
             tracer = ChromeTracer()
-            cluster_scenario().run(tracer=tracer)
+            cluster_scenario().run(observers=[tracer])
             blobs.append(tracer.to_json())
         assert blobs[0] == blobs[1]
         assert validate_trace(json.loads(blobs[0])) > 0
 
     def test_replica_tracks_are_named(self):
         tracer = ChromeTracer()
-        cluster_scenario().run(tracer=tracer)
+        cluster_scenario().run(observers=[tracer])
         names = [
             e["args"]["name"]
             for e in tracer.trace_dict()["traceEvents"]
@@ -152,7 +156,7 @@ class TestClusterTracing:
         tracer = ChromeTracer()
         metrics = cluster_scenario(
             replicas=2, disaggregated="1p1d", kv_transfer_ms=0.05
-        ).run(tracer=tracer)
+        ).run(observers=[tracer])
         events = tracer.trace_dict()["traceEvents"]
         transfers = [e for e in events if e["name"] == "kv-transfer"]
         handoffs = [e for e in events if e["name"] == "handoff"]
@@ -185,5 +189,71 @@ class TestClusterTelemetry:
 
     def test_tracing_does_not_change_metrics(self):
         baseline = cluster_scenario().run()
-        traced = cluster_scenario().run(tracer=ChromeTracer())
+        traced = cluster_scenario().run(observers=[ChromeTracer()])
         assert traced == baseline
+
+
+@pytest.fixture()
+def tiny_names(tiny_system, tiny_workload):
+    """Register the tiny system/workload so full-engine runs take milliseconds."""
+
+    register_system("obs-tiny-sys")(lambda: tiny_system)
+    register_workload("obs-tiny")(lambda seq_len=64: tiny_workload.with_seq_len(seq_len))
+    yield
+    SYSTEMS.unregister("obs-tiny-sys")
+    WORKLOADS.unregister("obs-tiny")
+
+
+TINY = dict(
+    workload="obs-tiny",
+    arrival="poisson",
+    rate=50_000.0,
+    num_requests=6,
+    max_batch=2,
+    seed=0,
+    tier=ScaleTier.FULL,
+    prompt_tokens=(32, 64),
+    output_tokens=(2, 4),
+    telemetry_ms=0.01,
+)
+
+#: One tiny scenario per fleet shape the serving loop drives.
+COMPOSED = {
+    "serve": lambda: ServeScenario(system="obs-tiny-sys", **TINY),
+    "cluster": lambda: ClusterScenario(systems=("obs-tiny-sys",), replicas=2, **TINY),
+    "disaggregated": lambda: ClusterScenario(
+        systems=("obs-tiny-sys",), replicas=2, disaggregated="1p1d", **TINY
+    ),
+}
+
+
+def profile_calls(profiler: Profiler) -> dict:
+    return {name: entry["calls"] for name, entry in profiler.as_dict().items()}
+
+
+@pytest.mark.usefixtures("tiny_names")
+@pytest.mark.parametrize("kind", sorted(COMPOSED))
+def test_observers_compose(kind):
+    """All four sinks at once equal a bare run, and each equals itself alone."""
+
+    scenario = COMPOSED[kind]().validate()
+    untimed = replace(scenario, telemetry_ms=None)
+    tracer, probe, profiler = ChromeTracer(), StepProbe(), Profiler(scope=scenario.kind)
+    composed = scenario.run(observers=[tracer, probe, profiler])
+    # The bare run is also the telemetry recorder installed alone.
+    bare = scenario.run()
+    assert composed.to_dict() == bare.to_dict()
+    assert composed.telemetry == bare.telemetry
+    assert composed.telemetry is not None
+
+    alone_tracer, alone_probe = ChromeTracer(), StepProbe()
+    alone_profiler = Profiler(scope=scenario.kind)
+    untimed_bare = untimed.run().to_dict()
+    for observer in (alone_tracer, alone_probe, alone_profiler):
+        assert untimed.run(observers=[observer]).to_dict() == untimed_bare
+    assert tracer.to_json() == alone_tracer.to_json()
+    assert len(tracer) > 0
+    assert [d.digest for d in probe.digests] == [d.digest for d in alone_probe.digests]
+    assert len(probe.digests) == sum(r.steps for r in getattr(bare, "replicas", [bare]))
+    assert profile_calls(profiler) == profile_calls(alone_profiler)
+    assert profile_calls(profiler)[f"{scenario.kind}.step_cost_build"] > 0

@@ -1,4 +1,4 @@
-"""Tests for the Chrome trace_event tracer and the null default."""
+"""Tests for the Chrome trace_event tracer and the observer base it extends."""
 
 from __future__ import annotations
 
@@ -6,35 +6,40 @@ import json
 
 import pytest
 
+from repro.analysis.runtime import StepProbe
 from repro.common.errors import ConfigError
+from repro.obs.observer import Observer
+from repro.obs.profile import Profiler
+from repro.obs.telemetry import TelemetryRecorder
 from repro.obs.tracer import (
     CAT_REQUEST,
     CAT_STEP,
-    NULL_TRACER,
     ChromeTracer,
-    Tracer,
-    trace_request,
     validate_trace,
 )
 
 
-class TestNullTracer:
-    def test_disabled_by_default(self):
-        assert not NULL_TRACER.enabled
-        assert not Tracer.enabled
+class TestObserverBase:
+    def test_every_hook_is_a_noop(self):
+        observer = Observer()
+        assert observer.on_start(None, []) is None
+        assert observer.on_step(None, 0.0, 1.0, None, 10) is None
+        assert observer.on_idle(None, 1.0) is None
+        assert observer.on_transfer(None, None, 1.0, 2.0) is None
+        assert observer.on_handoff(None, None, 2.0) is None
+        assert observer.on_finish([]) is None
+        # The base holds no state a hook could have written to.
+        assert not hasattr(observer, "__dict__")
 
-    def test_every_hook_is_a_noop(self, tmp_path):
-        tracer = Tracer()
-        tracer.name_process(0, "accel")
-        tracer.name_thread(0, 0, "scheduler")
-        tracer.complete("step", CAT_STEP, 0, 0, 0.0, 1.0)
-        tracer.instant("done", CAT_STEP, 0, 0, 1.0)
-        tracer.write(tmp_path / "never.json")
-        assert not (tmp_path / "never.json").exists()
+    def test_every_sink_is_an_observer(self):
+        sinks = (ChromeTracer(), TelemetryRecorder(interval_s=1.0), StepProbe(), Profiler())
+        assert all(isinstance(sink, Observer) for sink in sinks)
 
-    def test_chrome_tracer_is_a_tracer(self):
-        assert isinstance(ChromeTracer(), Tracer)
-        assert ChromeTracer().enabled
+    def test_chrome_tracer_records_nothing_until_told(self):
+        tracer = ChromeTracer()
+        tracer.on_idle(None, 1.0)
+        assert len(tracer) == 0
+        assert tracer.trace_dict()["traceEvents"] == []
 
 
 class TestChromeTracer:
@@ -116,7 +121,7 @@ class _Record:
 class TestTraceRequest:
     def test_full_lifecycle_spans(self):
         tracer = ChromeTracer()
-        trace_request(tracer, _Record(prefill_end_s=0.2), pid=1)
+        tracer.trace_request(_Record(prefill_end_s=0.2), pid=1)
         names = [e["name"] for e in tracer.events]
         assert names == ["queued", "prefill", "decode", "complete"]
         assert all(e["pid"] == 1 and e["tid"] == 3 for e in tracer.events)
@@ -127,7 +132,7 @@ class TestTraceRequest:
 
     def test_decode_only_record_skips_prefill_span(self):
         tracer = ChromeTracer()
-        trace_request(tracer, _Record(prefill_end_s=None), pid=1)
+        tracer.trace_request(_Record(prefill_end_s=None), pid=1)
         names = [e["name"] for e in tracer.events]
         assert names == ["queued", "decode", "complete"]
 

@@ -68,10 +68,10 @@ def _sampler(seed: int) -> RequestSampler:
     return RequestSampler(seed=seed, prompt_tokens=(32, 64), output_tokens=(2, 6))
 
 
-def run_pair(variant: str, arrival: str, seed: int, probes=(None, None), **knobs):
+def run_pair(variant: str, arrival: str, seed: int, observers=((), ()), **knobs):
     """Run the single accelerator and the one-replica fleet on one stream.
 
-    ``probes`` are installed on the two runs in order; ``knobs`` (``slo``,
+    ``observers`` are installed on the two runs in order; ``knobs`` (``slo``,
     ``telemetry_ms``) go to both simulators.
     """
 
@@ -84,7 +84,7 @@ def run_pair(variant: str, arrival: str, seed: int, probes=(None, None), **knobs
         batch=batch,
         policy=policy(),
         **knobs,
-    ).run(probe=probes[0])
+    ).run(observers=observers[0])
     fleet = ClusterSimulator(
         arrival=ARRIVALS[arrival](_sampler(seed)),
         router=resolve_router("round-robin")(1),
@@ -98,7 +98,7 @@ def run_pair(variant: str, arrival: str, seed: int, probes=(None, None), **knobs
             )
         ],
         **knobs,
-    ).run(probe=probes[1])
+    ).run(observers=observers[1])
     return single, fleet
 
 
@@ -121,7 +121,9 @@ def test_single_accelerator_equals_one_replica_fleet(variant, arrival, seed):
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_telemetry_and_probe_digests_agree(variant, arrival, seed):
     probes = (StepProbe(), StepProbe())
-    single, fleet = run_pair(variant, arrival, seed, probes, telemetry_ms=0.002)
+    single, fleet = run_pair(
+        variant, arrival, seed, ([probes[0]], [probes[1]]), telemetry_ms=0.002
+    )
     assert single.telemetry is not None
     assert single.telemetry == fleet.telemetry
     assert probes[0].digests
