@@ -102,7 +102,6 @@ class MshrAwareArbiter(BaseArbiter):
         self.hit_buffer.record_hit(line_addr)
 
     def notify_outcome(self, req: MemRequest, was_hit: bool, was_mshr_hit: bool) -> None:
-        rank = None
         # Outcome accounting is best-effort: speculation entries are popped on
         # selection, so only track aggregate accuracy via hit buffer contents.
         predicted_hit = self.hit_buffer.contains(req.line_addr)
@@ -110,7 +109,6 @@ class MshrAwareArbiter(BaseArbiter):
             self.stats.prediction_correct += 1
         else:
             self.stats.prediction_wrong += 1
-        del rank
 
 
 class BalancedMshrAwareArbiter(MshrAwareArbiter):

@@ -15,14 +15,17 @@ would reach the same outcome, so the system loop charges that counter directly
 instead of ticking it (see :attr:`VectorCore.parked`).  A core parked on
 compute knows when that outcome changes -- its earliest
 ``compute_ready_cycle`` -- and is ticked again from that cycle on
-(:attr:`VectorCore.wake_cycle`).
+(:attr:`VectorCore.wake_cycle`).  A response wakes a parked core only when it
+frees window depth or drains a block, and a slice draining only *nudges* the
+cores it rejected (:meth:`VectorCore.nudge`): the system loop ticks such a
+core only if that slice still has room at the core's turn.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.common.types import AccessType, MemRequest, MemResponse
+from repro.common.types import AccessType, MemRequest, MemResponse, next_request_id
 from repro.config.system import CoreConfig
 from repro.cores.l1 import L1Cache
 from repro.cores.scheduler import ThreadBlockScheduler
@@ -47,6 +50,7 @@ class VectorCore:
         self.config = config
         self.l1 = l1
         self.request_sink = request_sink
+        self._l1_line_shift = l1.line_shift
         self.scheduler = scheduler
 
         self.windows = [
@@ -62,15 +66,22 @@ class VectorCore:
         #: Set after a tick that only charged ``stat_mem_stall_cycles`` (or
         #: ``stat_idle_cycles`` when ``parked_idle``, or ``stat_compute_cycles``
         #: when ``wake_cycle`` is set): until a wake event the next tick would do
-        #: the same, so the system loop charges the counter in its place.
-        #: Cleared by :meth:`receive`, :meth:`set_max_running_blocks` and
-        #: :meth:`wake` (the NoC's back-pressure release).
+        #: the same, so the system loop charges the counter in its place.  Every
+        #: running window of a parked core is then computing, depth-full,
+        #: draining or back-pressured, and none of those probes the L1.  Cleared
+        #: by :meth:`wake`, which :meth:`receive` calls only for a response
+        #: that frees window depth or drains a block, and
+        #: :meth:`set_max_running_blocks` only when the limit changes.
         self.parked = False
         self.parked_idle = False
         #: Compute park only: the earliest ``compute_ready_cycle`` of the
         #: windows that returned "compute", from which the system loop ticks the
         #: core again; 0 when the core is not parked on compute.
         self.wake_cycle = 0
+        #: Parked core only: the slices that rejected it and have since freed
+        #: injection space (see :meth:`nudge`).  The system loop checks at this
+        #: core's turn whether one of them still has room.
+        self.nudges: list[int] = []
 
         # -- statistics (cumulative; controllers take period deltas) --------------------
         self.stat_issued_requests = 0
@@ -88,8 +99,10 @@ class VectorCore:
     # throttling interface
     # ------------------------------------------------------------------------------
     def set_max_running_blocks(self, value: int) -> None:
-        self.max_running_blocks = max(1, min(self.config.num_inst_windows, value))
-        self.wake()
+        limit = max(1, min(self.config.num_inst_windows, value))
+        if limit != self.max_running_blocks:
+            self.max_running_blocks = limit
+            self.wake()
 
     def adjust_max_running_blocks(self, delta: int) -> None:
         self.set_max_running_blocks(self.max_running_blocks + delta)
@@ -98,20 +111,40 @@ class VectorCore:
     # interconnect interface: response delivery and back-pressure wake-ups
     # ------------------------------------------------------------------------------
     def receive(self, resp: MemResponse, cycle: int) -> None:
-        self.wake()
         window_id = self._req_window.pop(resp.req_id, None)
         if window_id is not None:
             window = self.windows[window_id]
-            if window.outstanding > 0:
-                window.outstanding -= 1
+            outstanding = window.outstanding
+            if outstanding > 0:
+                # Only a freed depth slot or a drained block can change the next
+                # tick; any other response leaves a parked core parked.
+                tb = window.tb
+                if outstanding >= window.depth or (
+                    outstanding == 1 and tb is not None and window.cursor >= len(tb.entries)
+                ):
+                    self.wake()
+                window.outstanding = outstanding - 1
         if resp.rw == AccessType.READ:
-            self.l1.fill(self.l1.line_addr(resp.line_addr))
+            shift = self._l1_line_shift
+            self.l1.fill((resp.line_addr >> shift) << shift)
 
     def wake(self) -> None:
         """Unpark: an event may have changed the outcome of the next tick."""
 
         self.parked = False
         self.wake_cycle = 0
+        self.nudges.clear()
+
+    def nudge(self, slice_id: int) -> None:
+        """Slice ``slice_id``, which rejected this core, freed injection space.
+
+        A parked core's next tick only retries its back-pressured requests,
+        and a slice that has not freed space since rejecting one of them still
+        rejects it; so only the nudging slices can let the tick change.
+        """
+
+        if self.parked:
+            self.nudges.append(slice_id)
 
     # ------------------------------------------------------------------------------
     # per-cycle execution
@@ -143,6 +176,12 @@ class VectorCore:
         rr = self._rr_pointer
         for k in range(n):
             window = running[(rr + k) % n]
+            if window.compute_charged and window.compute_ready_cycle > cycle:
+                # Still computing (``_try_issue``'s compute wait, tested inline).
+                window_ready = window.compute_ready_cycle
+                if not ready or window_ready < ready:
+                    ready = window_ready
+                continue
             result = self._try_issue(window, cycle)
             if result == "issued":
                 issued += 1
@@ -233,7 +272,7 @@ class VectorCore:
         if window.compute_charged and window.compute_ready_cycle > cycle:
             return "compute"
 
-        if not entry.has_access:
+        if entry.addr < 0:  # a pure-compute bubble (``not entry.has_access``)
             window.cursor += 1
             window.compute_charged = False
             return "issued"
@@ -251,14 +290,10 @@ class VectorCore:
         if entry.rw == AccessType.WRITE:
             self.l1.access_write(entry.addr)
 
+        # Positional: addr, rw, core_id, tb_id, kind, size, req_id, issue_cycle.
         req = MemRequest(
-            addr=entry.addr,
-            rw=entry.rw,
-            core_id=self.core_id,
-            tb_id=tb.tb_id,
-            kind=entry.kind,
-            size=entry.size,
-            issue_cycle=cycle,
+            entry.addr, entry.rw, self.core_id, tb.tb_id, entry.kind, entry.size,
+            next_request_id(), cycle,
         )
         if not self.request_sink(req, cycle):
             self.stat_backpressure_stalls += 1

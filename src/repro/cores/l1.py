@@ -24,7 +24,7 @@ class L1Cache:
         # The L1 is private, so its index function simply uses line-granular
         # interleaving over its own sets (num_slices=1).
         self._map = AddressMap(line_size=config.line_size, num_slices=1)
-        self._line_shift = (config.line_size - 1).bit_length()
+        self.line_shift = (config.line_size - 1).bit_length()
         num_sets = config.num_sets
         self.storage = CacheStorage(
             num_sets=num_sets,
@@ -36,7 +36,7 @@ class L1Cache:
         self.writes = 0
 
     def line_addr(self, addr: int) -> int:
-        return (addr >> self._line_shift) << self._line_shift
+        return (addr >> self.line_shift) << self.line_shift
 
     def access_read(self, addr: int) -> bool:
         """Probe for a read; True on hit (the access completes locally)."""

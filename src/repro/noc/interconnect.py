@@ -11,7 +11,10 @@ cores (Fig 4, step 4').
 A slice's load only drops when :meth:`Interconnect.tick` moves one of its
 staged requests into the slice, so a core rejected by that slice cannot
 succeed before then: the interconnect remembers the rejected cores per slice
-and wakes them at that moment (see ``VectorCore.parked``).
+and nudges them at that moment (see ``VectorCore.nudge``).  A nudge is not a
+wake: a lower-id core can refill the slice before a nudged core's turn in the
+same cycle, so the system loop asks :meth:`Interconnect.admits_any` at that
+turn and ticks the core only if a nudging slice still has room.
 """
 
 from __future__ import annotations
@@ -71,11 +74,9 @@ class Interconnect:
         """Inject a request; returns False under back-pressure."""
 
         slice_id = self.address_map.slice_of(req.addr)
-        if self._slice_load[slice_id] >= self._slice_load_limit:
+        if not self.has_room(slice_id):
             self.backpressure_rejects += 1
-            rejected = self._rejected[slice_id]
-            if req.core_id not in rejected:
-                rejected.append(req.core_id)
+            self._reject(slice_id, req.core_id)
             return False
         deliver = cycle + self.config.request_latency
         heapq.heappush(self._req_in_flight, (deliver, self._seq, slice_id, req))
@@ -83,6 +84,31 @@ class Interconnect:
         self._seq += 1
         self.requests_sent += 1
         return True
+
+    def has_room(self, slice_id: int) -> bool:
+        """The load predicate of injection: :meth:`send_request` succeeds iff true."""
+
+        return self._slice_load[slice_id] < self._slice_load_limit
+
+    def admits_any(self, core_id: int, slice_ids: list[int]) -> bool:
+        """True if one of ``slice_ids`` has room for a request now.
+
+        Otherwise ``core_id`` is registered again as rejected by each of them,
+        exactly as failed :meth:`send_request` calls would register it, so the
+        next drain of any of them nudges it again.
+        """
+
+        for slice_id in slice_ids:
+            if self.has_room(slice_id):
+                return True
+        for slice_id in slice_ids:
+            self._reject(slice_id, core_id)
+        return False
+
+    def _reject(self, slice_id: int, core_id: int) -> None:
+        rejected = self._rejected[slice_id]
+        if core_id not in rejected:
+            rejected.append(core_id)
 
     # -- response path ------------------------------------------------------------------
     def send_response(self, resp: MemResponse, cycle: int, extra_delay: int = 0) -> None:
@@ -99,15 +125,15 @@ class Interconnect:
         cycle: int,
         slice_sinks: list[Callable[[MemRequest, int], bool]],
         core_sinks: list[Callable[[MemResponse, int], None]],
-        core_wakes: list[Callable[[], None]],
+        core_nudges: list[Callable[[int], None]],
     ) -> None:
         """Deliver due requests into slices and due responses into cores.
 
         ``slice_sinks[i]`` pushes a request into slice ``i``'s request queue and
         returns False when that queue is full (the request then waits in the
         staging queue); ``core_sinks[i]`` delivers a response to core ``i``;
-        ``core_wakes[i]`` tells core ``i`` that a slice which rejected it has
-        freed injection space.
+        ``core_nudges[i](j)`` tells core ``i`` that slice ``j``, which rejected
+        it, has freed injection space.
         """
 
         # Requests whose transit delay elapsed move into the staging queues.
@@ -131,7 +157,7 @@ class Interconnect:
             rejected = self._rejected[slice_id]
             if accepted and rejected:
                 for core_id in rejected:
-                    core_wakes[core_id]()
+                    core_nudges[core_id](slice_id)
                 rejected.clear()
 
         # Responses are never back-pressured.

@@ -69,7 +69,7 @@ class SimulatedSystem:
 
         self._slice_sinks = self.llc.slice_sinks()
         self._core_sinks = [core.receive for core in self.cores]
-        self._core_wakes = [core.wake for core in self.cores]
+        self._core_nudges = [core.nudge for core in self.cores]
 
     # -- component glue ------------------------------------------------------------------
     def _response_sink(self, resp: MemResponse, cycle: int, extra_delay: int) -> None:
@@ -90,22 +90,8 @@ class SimulatedSystem:
                 self.llc.on_dram_fill(payload, line_addr, cycle)
 
         self.llc.tick(cycle)
-        self.noc.tick(cycle, self._slice_sinks, self._core_sinks, self._core_wakes)
-        # A parked core's tick would only charge the same stall counter again;
-        # a compute-parked one is ticked again from its wake cycle on.
-        for core in self.cores:
-            if not core.parked:
-                core.tick(cycle)
-            elif core.wake_cycle:
-                if cycle < core.wake_cycle:
-                    core.stat_compute_cycles += 1
-                else:
-                    core.wake()
-                    core.tick(cycle)
-            elif core.parked_idle:
-                core.stat_idle_cycles += 1
-            else:
-                core.stat_mem_stall_cycles += 1
+        self.noc.tick(cycle, self._slice_sinks, self._core_sinks, self._core_nudges)
+        tick_cores(self.cores, self.noc, cycle)
         self.throttle.tick(cycle)
 
     # -- completion -----------------------------------------------------------------------------
@@ -123,3 +109,36 @@ class SimulatedSystem:
         if self.dram.has_work():
             return False
         return True
+
+
+def tick_cores(cores: list[VectorCore], noc: Interconnect, cycle: int) -> None:
+    """Tick every core that is not parked, in core-id order.
+
+    A parked core's tick would only charge the same stall counter again, so
+    the counter is charged in its place; a compute-parked one is ticked again
+    from its wake cycle on.  A nudged core is checked at its own turn,
+    because a lower-id core may have refilled the drained slice earlier in
+    this cycle: it ticks only if a slice that nudged it still has room.
+    """
+
+    for core in cores:
+        if not core.parked:
+            core.tick(cycle)
+            continue
+        nudges = core.nudges
+        if nudges:
+            if noc.admits_any(core.core_id, nudges):
+                core.wake()
+                core.tick(cycle)
+                continue
+            nudges.clear()
+        if core.wake_cycle:
+            if cycle < core.wake_cycle:
+                core.stat_compute_cycles += 1
+            else:
+                core.wake()
+                core.tick(cycle)
+        elif core.parked_idle:
+            core.stat_idle_cycles += 1
+        else:
+            core.stat_mem_stall_cycles += 1

@@ -18,7 +18,7 @@ class Harness:
         self.refusing: set[int] = set()             # slices that refuse regardless
         self.delivered: list[list[MemRequest]] = [[] for _ in range(num_slices)]
         self.responses: list[list[MemResponse]] = [[], []]
-        self.wakes: list[tuple[int, int]] = []     # (cycle, core)
+        self.nudges: list[tuple[int, int, int]] = []  # (cycle, core, slice)
         self.cycle = 0
 
     def slice_sinks(self):
@@ -34,13 +34,14 @@ class Harness:
     def core_sinks(self):
         return [lambda r, c, i=i: self.responses[i].append(r) for i in range(2)]
 
-    def core_wakes(self):
-        return [lambda i=i: self.wakes.append((self.cycle, i)) for i in range(2)]
+    def core_nudges(self):
+        return [lambda slice_id, i=i: self.nudges.append((self.cycle, i, slice_id))
+                for i in range(2)]
 
     def run(self, cycles, start=0):
         for cycle in range(start, start + cycles):
             self.cycle = cycle
-            self.noc.tick(cycle, self.slice_sinks(), self.core_sinks(), self.core_wakes())
+            self.noc.tick(cycle, self.slice_sinks(), self.core_sinks(), self.core_nudges())
 
 
 def req(addr, core=0):
@@ -101,33 +102,33 @@ class TestRequestPath:
         assert h.noc.backpressure_rejects == 2
 
 
-class TestBackpressureWakeups:
-    """A slice's load only drops in ``tick``; its rejected cores are woken then."""
+class TestBackpressureNudges:
+    """A slice's load only drops in ``tick``; its rejected cores are nudged then."""
 
     def fill_slice0(self, h):
         while h.noc.send_request(req(0x0), 0):
             pass
 
-    def test_rejected_core_woken_when_its_slice_drains(self):
+    def test_rejected_core_nudged_when_its_slice_drains(self):
         h = Harness(latency=1, accept=False)
         self.fill_slice0(h)                            # core 0 is the rejecter
         h.run(5)
-        assert h.wakes == []                           # slice 0 still refuses
+        assert h.nudges == []                          # slice 0 still refuses
         h.accept = True
         h.run(1, start=5)
-        assert h.wakes == [(5, 0)]
+        assert h.nudges == [(5, 0, 0)]
         assert h.noc.send_request(req(0x0), 6)
 
-    def test_each_rejecter_woken_once(self):
+    def test_each_rejecter_nudged_once(self):
         h = Harness(latency=1, accept=False)
         self.fill_slice0(h)
         for core in (1, 1, 0):
             assert not h.noc.send_request(req(0x0, core=core), 0)
         h.accept = True
         h.run(3)
-        assert sorted(core for _, core in h.wakes) == [0, 1]
+        assert sorted(core for _, core, _ in h.nudges) == [0, 1]
 
-    def test_other_slice_draining_wakes_nobody(self):
+    def test_other_slice_draining_nudges_nobody(self):
         h = Harness(latency=1, accept=False)
         self.fill_slice0(h)
         h.accept = True
@@ -135,10 +136,31 @@ class TestBackpressureWakeups:
         assert h.noc.send_request(req(0x40, core=1), 0)
         h.run(5)
         assert len(h.delivered[1]) == 1                # slice 1 drained ...
-        assert h.wakes == []                           # ... but core 0 waits on slice 0
+        assert h.nudges == []                          # ... but core 0 waits on slice 0
         h.refusing = set()
         h.run(1, start=5)
-        assert h.wakes == [(5, 0)]
+        assert h.nudges == [(5, 0, 0)]
+
+    def test_room_check_registers_the_core_again_when_full(self):
+        h = Harness(latency=1, accept=False)
+        self.fill_slice0(h)
+        h.accept = True
+        h.run(1, start=1)                              # slice 0 drains
+        assert h.nudges == [(1, 0, 0)]
+        assert h.noc.has_room(0)
+        while h.noc.send_request(req(0x0, core=1), 1):  # another core refills it
+            pass
+        rejects = h.noc.backpressure_rejects
+        assert not h.noc.admits_any(0, [0])
+        assert h.noc.backpressure_rejects == rejects   # a check is not an attempt
+        h.run(1, start=2)                              # the next drain nudges again
+        assert (2, 0, 0) in h.nudges
+
+    def test_room_check_finds_any_slice_with_room(self):
+        h = Harness(latency=1, accept=False)
+        self.fill_slice0(h)
+        assert not h.noc.has_room(0) and h.noc.has_room(1)
+        assert h.noc.admits_any(0, [0, 1])
 
 
 class TestResponsePath:

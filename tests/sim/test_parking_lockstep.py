@@ -1,16 +1,20 @@
 """Lockstep differential oracle for core and slice parking.
 
 Two systems built from the same inputs step side by side.  One runs as the
-engine runs it; the other has every core's and slice's ``parked`` flag
-cleared before each step, so every component ticks on every cycle -- the
-behaviour before parking existed.  After every cycle the progress signature
-and every stall counter a throttle controller reads must agree, and at the
-end the serialized results must be identical.  Compute-parked cores (a timed
-wake at ``wake_cycle``) are counted apart from memory and idle parks, so a
-test can assert that the timed wake really happened.
+engine runs it; the other wakes every core and unparks every slice before
+each step, so every component ticks on every cycle -- the behaviour before
+parking existed, where every response and every slice drain woke its core and
+no room check ran.  After every cycle the progress signature and every stall
+counter a throttle controller reads must agree, and at the end the serialized
+results must be identical.  Compute-parked cores (a timed wake at
+``wake_cycle``) are counted apart from memory and idle parks, and parked
+cycles with a depth-full window apart again, so a test can assert that the
+timed wake and the depth wake really happened.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -42,8 +46,7 @@ _FINISH_CHECK_INTERVAL = 64
 
 def unpark(system: SimulatedSystem) -> None:
     for core in system.cores:
-        core.parked = False
-        core.wake_cycle = 0
+        core.wake()
     for llc_slice in system.llc.slices:
         llc_slice.parked = False
 
@@ -78,6 +81,7 @@ def lockstep(system_cfg, policy, trace, max_cycles=200_000) -> dict:
     reference.system = UnparkedSystem(system_cfg, policy, trace)
     a, b = parked.system, reference.system
     parked_core_cycles = compute_parked_core_cycles = parked_slice_cycles = 0
+    depth_full_cycles = 0
     for cycle in range(max_cycles):
         for core in a.cores:
             if core.parked:
@@ -85,6 +89,8 @@ def lockstep(system_cfg, policy, trace, max_cycles=200_000) -> dict:
                     compute_parked_core_cycles += 1
                 else:
                     parked_core_cycles += 1
+                if any(w.outstanding >= w.depth for w in core.windows):
+                    depth_full_cycles += 1
         parked_slice_cycles += sum(s.parked for s in a.llc.slices)
         a.step(cycle)
         b.step(cycle)
@@ -99,7 +105,7 @@ def lockstep(system_cfg, policy, trace, max_cycles=200_000) -> dict:
     cycles = cycle + 1
     assert parked._collect(cycles).to_dict() == reference._collect(cycles).to_dict()
     return {"cores": parked_core_cycles, "compute": compute_parked_core_cycles,
-            "slices": parked_slice_cycles}
+            "slices": parked_slice_cycles, "depth_full": depth_full_cycles}
 
 
 def small_workload(operator: OperatorKind, seq_len: int) -> WorkloadConfig:
@@ -124,6 +130,27 @@ def test_fig7_policies_match_the_unparked_reference(tiny_system, operator, label
         assert parked["compute"] > 0
 
 
+@pytest.mark.parametrize("label", ["unopt", "dynmg+BMA"])
+def test_ci_tier_logit_point_matches(label):
+    """The Fig 7 regime: cores mostly back-pressured, woken by nudges."""
+
+    scenario = Scenario.create("llama3-70b", label, seq_len=2048)
+    system_cfg, workload, policy = scenario.resolve()
+    parked = lockstep(system_cfg, policy, generate_trace(workload, system_cfg))
+    assert parked["cores"] > 0
+
+
+@pytest.mark.parametrize("operator", [OperatorKind.LOGIT, OperatorKind.ATTEND])
+def test_shallow_window_point_matches(tiny_system, operator):
+    """Depth-full windows on every core: only a response that frees a slot
+    (or drains its block) may wake them."""
+
+    system_cfg = replace(tiny_system, core=replace(tiny_system.core, inst_window_depth=4))
+    trace = generate_trace(small_workload(operator, SMALL_SEQ_LEN[operator]), system_cfg)
+    parked = lockstep(system_cfg, resolve_policy("dynmg+BMA"), trace)
+    assert parked["depth_full"] > 0
+
+
 def test_ci_tier_attend_point_matches():
     scenario = Scenario.create("llama3-70b-attend", "dynmg+BMA", seq_len=2048)
     system_cfg, workload, policy = scenario.resolve()
@@ -136,6 +163,7 @@ def test_previously_livelocked_cobrra_point_matches():
     system_cfg, workload, policy = livelock_scenario("cobrra").resolve()
     parked = lockstep(system_cfg, policy, generate_trace(workload, system_cfg))
     assert parked["cores"] > 0
+    assert parked["depth_full"] > 0
 
 
 def test_small_l2_mshr_bound_point_matches():
