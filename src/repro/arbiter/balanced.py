@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import AbstractSet
+
 from repro.arbiter.base import BaseArbiter
 from repro.common.fifo import BoundedFifo
 from repro.common.types import MemRequest
@@ -18,7 +20,7 @@ class BalancedArbiter(BaseArbiter):
     name = "balanced"
 
     def select(
-        self, queue: BoundedFifo[MemRequest], mshr_lines: set[int], cycle: int
+        self, queue: BoundedFifo[MemRequest], mshr_lines: AbstractSet[int], cycle: int
     ) -> int:
         counters = self.progress_counters
         best_index = 0

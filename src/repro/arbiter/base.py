@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import AbstractSet
 
 from repro.common.fifo import BoundedFifo
 from repro.common.types import MemRequest
@@ -15,9 +16,6 @@ class ArbiterStats:
     selections: int = 0
     predicted_hits: int = 0
     predicted_mshr_hits: int = 0
-    prediction_correct: int = 0
-    prediction_wrong: int = 0
-    per_core_served: dict[int, int] = field(default_factory=dict)
 
 
 class BaseArbiter:
@@ -46,12 +44,15 @@ class BaseArbiter:
 
     # -- request selection -----------------------------------------------------------
     def select(
-        self, queue: BoundedFifo[MemRequest], mshr_lines: set[int], cycle: int
+        self, queue: BoundedFifo[MemRequest], mshr_lines: AbstractSet[int], cycle: int
     ) -> int:
         """Return the index (0 = oldest) of the request to serve this cycle.
 
         ``queue`` is guaranteed non-empty by the caller.  ``mshr_lines`` is the
-        real-time MSHR snapshot (line addresses with an open entry).
+        real-time MSHR snapshot (line addresses with an open entry), an
+        immutable set shared with the slice.  Neither may be mutated, and
+        neither may be kept past the call: the queue changes on the next pop,
+        and the snapshot is replaced on the next MSHR allocation or free.
         """
 
         return 0
@@ -61,8 +62,6 @@ class BaseArbiter:
 
         self.progress_counters[req.core_id] += 1
         self.stats.selections += 1
-        served = self.stats.per_core_served
-        served[req.core_id] = served.get(req.core_id, 0) + 1
 
     # -- feedback from the slice pipeline ------------------------------------------------
     def notify_hit(self, line_addr: int, cycle: int) -> None:

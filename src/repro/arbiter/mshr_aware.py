@@ -11,9 +11,16 @@ Ties are broken FIFO for MA and by the balanced progress counters for BMA.
 Prioritising hits and MSHR hits lets more requests enter the cache before an
 MSHR-reservation stall and turns would-be misses into merges whose latency
 overlaps the DRAM access already in flight.
+
+One lookup costs one pass over the request queue with at most three dict or
+set membership tests per request: the hit buffer and ``sent_reqs`` keep
+line -> count maps up to date as entries enter and leave them, and the MSHR
+snapshot is rebuilt only on allocate and free.
 """
 
 from __future__ import annotations
+
+from typing import AbstractSet
 
 from repro.arbiter.base import BaseArbiter
 from repro.arbiter.speculation import HitBuffer, SentReqs
@@ -43,72 +50,89 @@ class MshrAwareArbiter(BaseArbiter):
             capacity=params.sent_reqs_size,
             lifetime=max(1, hit_latency + mshr_latency),
         )
-        self._last_speculation: dict[int, int] = {}
+        #: The request the last ``select`` chose and its speculation rank
+        #: (0 hit, 1 MSHR hit, 2 other), consumed by ``notify_selected``.
+        self.speculated_req: MemRequest | None = None
+        self.speculated_rank = 2
 
     # -- selection -------------------------------------------------------------------
-    def _rank(self, req: MemRequest, mshr_view: set[int]) -> int:
-        if self.hit_buffer.contains(req.line_addr):
+    def _speculate(self, line_addr: int, mshr_lines: AbstractSet[int]) -> int:
+        """Speculation rank of a request for ``line_addr``: 0 hit, 1 MSHR hit, 2 other."""
+
+        if line_addr in self.hit_buffer.counts:
             return 0
-        if req.line_addr in mshr_view:
+        if line_addr in mshr_lines or line_addr in self.sent_reqs.pending:
             return 1
         return 2
 
     def select(
-        self, queue: BoundedFifo[MemRequest], mshr_lines: set[int], cycle: int
+        self, queue: BoundedFifo[MemRequest], mshr_lines: AbstractSet[int], cycle: int
     ) -> int:
         # Step 1 of Fig 5: combine the real-time MSHR snapshot with the
         # not-yet-visible sent requests (masked by their speculated-hit bits).
-        mshr_view = mshr_lines | self.sent_reqs.pending_mshr_lines(cycle)
+        self.sent_reqs.expire(cycle)
+        if len(queue) == 1:
+            req = queue.peek(0)
+            self.speculated_req = req
+            self.speculated_rank = self._speculate(req.line_addr, mshr_lines)
+            return 0
 
+        # The same tests as ``_speculate``, inlined: this loop is the hot path.
+        hits = self.hit_buffer.counts
+        pending = self.sent_reqs.pending
+        balanced = self.balanced_tiebreak
+        counters = self.progress_counters
         best_index = 0
         best_rank = 3
         best_counter = 0
-        counters = self.progress_counters
         for i, req in enumerate(queue):
-            rank = self._rank(req, mshr_view)
+            line = req.line_addr
+            if line in hits:
+                rank = 0
+            elif line in mshr_lines or line in pending:
+                rank = 1
+            else:
+                rank = 2
             if rank < best_rank:
                 best_rank = rank
                 best_index = i
-                best_counter = counters[req.core_id]
-                if rank == 0 and not self.balanced_tiebreak:
+                if balanced:
+                    best_counter = counters[req.core_id]
+                elif rank == 0:
                     break  # FIFO tie-break: the first rank-0 request wins
-            elif rank == best_rank and self.balanced_tiebreak:
+            elif rank == best_rank and balanced:
                 counter = counters[req.core_id]
                 if counter < best_counter:
                     best_counter = counter
                     best_index = i
-        chosen = queue.peek(best_index)
-        self._last_speculation[chosen.req_id] = best_rank
+        self.speculated_req = queue.peek(best_index)
+        self.speculated_rank = best_rank
         return best_index
 
     def notify_selected(self, req: MemRequest, cycle: int) -> None:
-        super().notify_selected(req, cycle)
-        rank = self._last_speculation.pop(req.req_id, None)
-        if rank is None:
-            # The request was selected without a prior ``select`` call (e.g. the
-            # queue had a single element); recompute the speculation.
-            rank = self._rank(req, self.sent_reqs.pending_mshr_lines(cycle))
-        speculated_hit = rank == 0
-        if speculated_hit:
-            self.stats.predicted_hits += 1
+        self.progress_counters[req.core_id] += 1
+        stats = self.stats
+        stats.selections += 1
+        if req is self.speculated_req:
+            rank = self.speculated_rank
+            self.speculated_req = None
+        else:
+            # Selected without a ``select`` ranking it (the slice always calls
+            # ``select``; a driver of the bare arbiter may not): speculate
+            # from the hit buffer and ``sent_reqs`` alone.
+            self.sent_reqs.expire(cycle)
+            rank = self._speculate(req.line_addr, frozenset())
+        if rank == 0:
+            stats.predicted_hits += 1
         elif rank == 1:
-            self.stats.predicted_mshr_hits += 1
+            stats.predicted_mshr_hits += 1
         # Step 4 of Fig 5: the chosen request enters sent_reqs with its
         # speculated-hit bit.
-        self.sent_reqs.record(req.line_addr, speculated_hit, cycle)
+        self.sent_reqs.record(req.line_addr, rank == 0, cycle)
 
     # -- feedback ---------------------------------------------------------------------
     def notify_hit(self, line_addr: int, cycle: int) -> None:
         self.hit_buffer.record_hit(line_addr)
-
-    def notify_outcome(self, req: MemRequest, was_hit: bool, was_mshr_hit: bool) -> None:
-        # Outcome accounting is best-effort: speculation entries are popped on
-        # selection, so only track aggregate accuracy via hit buffer contents.
-        predicted_hit = self.hit_buffer.contains(req.line_addr)
-        if predicted_hit == was_hit:
-            self.stats.prediction_correct += 1
-        else:
-            self.stats.prediction_wrong += 1
 
 
 class BalancedMshrAwareArbiter(MshrAwareArbiter):

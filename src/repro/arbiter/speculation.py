@@ -11,41 +11,53 @@ before the actual cache / MSHR lookup:
   so sent_reqs supplies the missing information.  Each entry carries the
   speculated-hit bit of the request, which masks it out of the MSHR view
   (speculated hits never allocate MSHR entries).
+
+Both keep a line -> count map of their FIFO next to it, updated on every
+insertion and removal, so a membership test is one dict lookup.  A line is a
+key exactly while at least one counted entry for it is in the FIFO.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
+
+
+def _discount(counts: dict[int, int], line_addr: int) -> None:
+    remaining = counts[line_addr] - 1
+    if remaining:
+        counts[line_addr] = remaining
+    else:
+        del counts[line_addr]
 
 
 class HitBuffer:
     """FIFO of line addresses of recent cache hits, with O(1) membership."""
 
-    __slots__ = ("capacity", "_fifo", "_counts", "insertions")
+    __slots__ = ("capacity", "_fifo", "counts", "insertions")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("HitBuffer capacity must be positive")
         self.capacity = capacity
         self._fifo: deque[int] = deque()
-        self._counts: Counter[int] = Counter()
+        #: line -> copies in the FIFO; the arbiter reads it directly.
+        self.counts: dict[int, int] = {}
         self.insertions = 0
 
     def record_hit(self, line_addr: int) -> None:
         """Record a newly determined cache hit, evicting the oldest if full."""
 
-        if len(self._fifo) >= self.capacity:
-            old = self._fifo.popleft()
-            self._counts[old] -= 1
-            if self._counts[old] <= 0:
-                del self._counts[old]
-        self._fifo.append(line_addr)
-        self._counts[line_addr] += 1
+        fifo = self._fifo
+        counts = self.counts
+        if len(fifo) >= self.capacity:
+            _discount(counts, fifo.popleft())
+        fifo.append(line_addr)
+        counts[line_addr] = counts.get(line_addr, 0) + 1
         self.insertions += 1
 
     def contains(self, line_addr: int) -> bool:
-        return self._counts.get(line_addr, 0) > 0
+        return line_addr in self.counts
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -61,7 +73,7 @@ class _SentEntry:
 class SentReqs:
     """FIFO of recently selected requests, visible until the MSHR catches up."""
 
-    __slots__ = ("capacity", "lifetime", "_fifo")
+    __slots__ = ("capacity", "lifetime", "_fifo", "pending")
 
     def __init__(self, capacity: int, lifetime: int) -> None:
         if capacity <= 0:
@@ -71,33 +83,36 @@ class SentReqs:
         self.capacity = capacity
         self.lifetime = lifetime
         self._fifo: deque[_SentEntry] = deque()
+        #: line -> entries without the speculated-hit bit, i.e. in-flight
+        #: requests that will occupy an MSHR entry (step 1 of Fig 5: a cache
+        #: hit never reaches the MSHR).  Current as of the last :meth:`expire`.
+        self.pending: dict[int, int] = {}
 
     def record(self, line_addr: int, speculated_hit: bool, cycle: int) -> None:
-        """Record a selected request; it stays visible for ``lifetime`` cycles."""
+        """Record a selected request; it stays visible for ``lifetime`` cycles.
 
-        self.expire(cycle)
-        if len(self._fifo) >= self.capacity:
-            self._fifo.popleft()
-        self._fifo.append(
-            _SentEntry(line_addr, speculated_hit, cycle + self.lifetime)
-        )
+        Call :meth:`expire` for ``cycle`` first, so a full FIFO drops an
+        expired entry rather than a live one.
+        """
+
+        fifo = self._fifo
+        if len(fifo) >= self.capacity:
+            old = fifo.popleft()
+            if not old.speculated_hit:
+                _discount(self.pending, old.line_addr)
+        fifo.append(_SentEntry(line_addr, speculated_hit, cycle + self.lifetime))
+        if not speculated_hit:
+            pending = self.pending
+            pending[line_addr] = pending.get(line_addr, 0) + 1
 
     def expire(self, cycle: int) -> None:
         """Drop entries whose MSHR-visibility window has elapsed."""
 
         fifo = self._fifo
         while fifo and fifo[0].expiry_cycle <= cycle:
-            fifo.popleft()
-
-    def pending_mshr_lines(self, cycle: int) -> set[int]:
-        """Lines of in-flight requests that will occupy MSHR entries.
-
-        Entries whose speculated-hit bit is set are masked out (step 1 of
-        Fig 5): a cache hit never reaches the MSHR.
-        """
-
-        self.expire(cycle)
-        return {e.line_addr for e in self._fifo if not e.speculated_hit}
+            old = fifo.popleft()
+            if not old.speculated_hit:
+                _discount(self.pending, old.line_addr)
 
     def __len__(self) -> int:
         return len(self._fifo)

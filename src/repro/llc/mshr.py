@@ -36,6 +36,7 @@ class MshrFile:
         "num_entries",
         "num_targets",
         "_entries",
+        "_snapshot",
         "allocations",
         "merges",
         "merge_failures_full_targets",
@@ -51,6 +52,8 @@ class MshrFile:
         self.num_entries = num_entries
         self.num_targets = num_targets
         self._entries: dict[int, MshrEntry] = {}
+        #: The entry keys, rebuilt on allocate and free (the only changes to them).
+        self._snapshot: frozenset[int] = frozenset()
         self.allocations = 0
         self.merges = 0
         #: Failed reservation *attempts*, not stalled cycles: a parked slice
@@ -101,10 +104,14 @@ class MshrFile:
         entry = self._entries.get(line_addr)
         return entry is not None and entry.num_targets < self.num_targets
 
-    def pending_lines(self) -> set[int]:
-        """The MSHR_snapshot of §4.3: the set of line addresses currently pending."""
+    def pending_lines(self) -> frozenset[int]:
+        """The MSHR_snapshot of §4.3: the set of line addresses currently pending.
 
-        return set(self._entries.keys())
+        Immutable: the next allocation or free replaces it rather than
+        updating it, so a snapshot taken earlier stays as it was.
+        """
+
+        return self._snapshot
 
     def reserve(self, req: MemRequest, cycle: int) -> str:
         """Attempt a reservation for ``req``; returns the outcome.
@@ -131,6 +138,7 @@ class MshrFile:
         self._entries[req.line_addr] = MshrEntry(
             line_addr=req.line_addr, allocated_cycle=cycle, targets=[req]
         )
+        self._snapshot = frozenset(self._entries)
         self.allocations += 1
         if len(self._entries) > self.peak_occupancy:
             self.peak_occupancy = len(self._entries)
@@ -142,4 +150,6 @@ class MshrFile:
         if line_addr not in self._entries:
             raise SimulationError(f"freeing MSHR entry for absent line {line_addr:#x}")
         self._account(cycle)
-        return self._entries.pop(line_addr)
+        entry = self._entries.pop(line_addr)
+        self._snapshot = frozenset(self._entries)
+        return entry

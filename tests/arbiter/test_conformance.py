@@ -12,13 +12,18 @@ mirroring the scheduler conformance pattern of
 * no phantom response grants -- response priority is never forced while the
   response queue is empty;
 * grant-count conservation -- the response/request/default grant counters on
-  :class:`BaseArbiter` sum exactly to the number of arbitration calls.
+  :class:`BaseArbiter` sum exactly to the number of arbitration calls;
+* request selection -- given the slice's immutable MSHR snapshot (a
+  ``frozenset``), ``select`` returns an index into the queue and leaves both
+  the queue and the snapshot as they were.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arbiter.base import BaseArbiter
+from repro.common.fifo import BoundedFifo
+from repro.common.types import AccessType, MemRequest
 from repro.config.policies import ArbitrationKind, PolicyConfig
 from repro.config.system import L2Config
 from repro.registry import ARBITERS, resolve_arbiter
@@ -98,6 +103,30 @@ class TestArbiterConformance:
                 + arb.default_priority_grants
                 == step
             )
+
+    @given(
+        lines=st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=12),
+        snapshot=st.frozensets(st.integers(min_value=0, max_value=7), max_size=6),
+        history=st.lists(st.integers(min_value=0, max_value=7), max_size=20),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_select_returns_an_index_and_mutates_nothing(self, name, lines, snapshot, history):
+        arb = build(name)
+        cycle = 0
+        for line_id in history:
+            # Feed the hit history and progress counters a slice would.
+            cycle += 1
+            arb.notify_hit(line_id * 64, cycle)
+            served = MemRequest(line_id * 64, AccessType.READ, line_id % 4).aligned(64)
+            arb.notify_selected(served, cycle)
+        queue: BoundedFifo[MemRequest] = BoundedFifo(12)
+        for i, line_id in enumerate(lines):
+            queue.push(MemRequest(line_id * 64, AccessType.READ, i % 4).aligned(64))
+        before = list(queue)
+        # A frozenset raises on any attempt to mutate it.
+        index = arb.select(queue, frozenset(line_id * 64 for line_id in snapshot), cycle + 1)
+        assert 0 <= index < len(before)
+        assert list(queue) == before
 
 
 def test_cobrra_grants_partition_all_calls():

@@ -118,7 +118,7 @@ class TestMshrAware:
         index = arb.select(q, set(), 2)
         assert index == 1   # still prioritised, but as a cache hit (rank 0), fine
         # Verify through the sent_reqs view directly:
-        assert 0x340 not in arb.sent_reqs.pending_mshr_lines(2)
+        assert 0x340 not in arb.sent_reqs.pending
 
     def test_fifo_tiebreak_for_ma(self):
         arb = make_ma(balanced=False)
@@ -139,6 +139,27 @@ class TestMshrAware:
         arb.select(queue_of(chosen), set(), 1)
         arb.notify_selected(chosen, 1)
         assert arb.stats.predicted_hits == 1
+
+    def test_notify_selected_without_select_speculates_from_its_own_state(self):
+        # With no ``select`` ranking the request there is no MSHR snapshot:
+        # only the hit buffer and sent_reqs speculate.
+        arb = make_ma()
+        arb.notify_hit(0x340, 0)
+        arb.notify_selected(req(0x340, 0), 1)   # in the hit buffer: a hit
+        arb.notify_selected(req(0x500, 1), 2)   # nowhere: neither
+        arb.notify_selected(req(0x500, 2), 3)   # in sent_reqs: an MSHR hit
+        assert (arb.stats.predicted_hits, arb.stats.predicted_mshr_hits) == (1, 1)
+        assert [e.speculated_hit for e in arb.sent_reqs._fifo] == [True, False, False]
+        assert arb.sent_reqs.pending == {0x500: 2}
+
+    def test_notify_selected_reranks_a_request_select_did_not_choose(self):
+        arb = make_ma()
+        chosen, other = req(0x500, 0), req(0x600, 1)
+        assert arb.select(queue_of(chosen, other), frozenset({0x500}), 0) == 0
+        arb.notify_selected(other, 0)           # not the chosen one: re-ranked
+        assert arb.stats.predicted_mshr_hits == 0
+        arb.notify_selected(chosen, 0)          # the chosen one: select's rank
+        assert arb.stats.predicted_mshr_hits == 1
 
 
 class TestCobrra:

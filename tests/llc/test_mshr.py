@@ -68,6 +68,32 @@ class TestSnapshot:
         mshr.reserve(req(0x240), 0)
         assert mshr.pending_lines() == {0x100, 0x240}
 
+    def test_snapshot_is_replaced_only_on_allocate_and_free(self):
+        mshr = MshrFile(num_entries=2, num_targets=2)
+        empty = mshr.pending_lines()
+        assert empty == frozenset()
+        mshr.reserve(req(0x100), 0)
+        allocated = mshr.pending_lines()
+        assert allocated == {0x100} and empty == frozenset()
+        mshr.reserve(req(0x100), 1)                        # merge
+        mshr.reserve(req(0x200), 2)                        # allocate
+        two = mshr.pending_lines()
+        assert two is not allocated and two == {0x100, 0x200}
+        assert mshr.reserve(req(0x100), 3) == "stall"      # targets full
+        assert mshr.reserve(req(0x300), 3) == "stall"      # entries full
+        assert mshr.pending_lines() is two
+        mshr.free(0x100, 4)
+        assert mshr.pending_lines() == {0x200}
+        assert two == {0x100, 0x200}                       # an old snapshot stays as taken
+
+    def test_merge_keeps_the_snapshot(self):
+        mshr = MshrFile(num_entries=2, num_targets=4)
+        mshr.reserve(req(0x100), 0)
+        snapshot = mshr.pending_lines()
+        assert mshr.reserve(req(0x100, core=1), 1) == "merged"
+        assert mshr.pending_lines() is snapshot
+        assert isinstance(snapshot, frozenset)
+
     def test_can_merge(self):
         mshr = MshrFile(4, 2)
         mshr.reserve(req(0x100), 0)
