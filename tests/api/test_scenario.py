@@ -95,9 +95,77 @@ class TestScenarioRoundTrip:
         ),
     ]
 
+    #: The exact ``to_dict()`` of the kitchen-sink and policy-config cases:
+    #: stored scenarios and their content keys depend on every key and value.
+    ENCODED: ClassVar[list[dict]] = [
+        {
+            "workload": "llama3-405b-attend",
+            "policy": "dynmg+BMA",
+            "system": "table5-32core",
+            "seq_len": 2048,
+            "l2_mib": 64,
+            "tier": "SMOKE",
+            "ordering": "sequential",
+            "constraints": {
+                "vector_axis": "d",
+                "min_inner_bytes": 64,
+                "output_lines_per_block": 2,
+                "line_size": 64,
+            },
+            "max_cycles": 123456,
+            "label": "fancy",
+            "policy_config": None,
+        },
+        {
+            "workload": "llama3-70b",
+            "policy": "dynmg",
+            "system": "table5",
+            "seq_len": None,
+            "l2_mib": None,
+            "tier": "CI",
+            "ordering": "gqa-shared",
+            "constraints": None,
+            "max_cycles": None,
+            "label": None,
+            "policy_config": {
+                "arbitration": "fcfs",
+                "throttle": "dynmg",
+                "multigear": {
+                    "sampling_period": 777,
+                    "max_gear": 4,
+                    "gear_fractions": [0.0, 0.125, 0.25, 0.5, 0.75],
+                    "thresholds": {"low_upper": 0.1, "normal_upper": 0.2, "high_upper": 0.375},
+                },
+                "incore": {
+                    "sub_period": 400,
+                    "c_idle_upper": 4,
+                    "c_mem_upper": 250,
+                    "c_mem_lower": 180,
+                    "min_thread_blocks": 1,
+                },
+                "dyncta": {
+                    "sampling_period": 2048,
+                    "c_idle_threshold": 16,
+                    "c_mem_high": 1228,
+                    "c_mem_low": 409,
+                    "min_thread_blocks": 1,
+                },
+                "lcs": {"observation_blocks": 1, "target_latency_factor": 2.0},
+                "mshr_aware": {"hit_buffer_size": 16, "sent_reqs_size": 16},
+                "cobrra": {"resp_priority_threshold": 0.5, "predictor_entries": 64},
+            },
+        },
+    ]
+
     @pytest.mark.parametrize("scenario", CASES, ids=["defaults", "kitchen-sink", "policy-config"])
     def test_from_dict_to_dict_round_trip(self, scenario):
         assert Scenario.from_dict(scenario.to_dict()) == scenario
+
+    @pytest.mark.parametrize("index", [1, 2], ids=["kitchen-sink", "policy-config"])
+    def test_to_dict_is_pinned(self, index):
+        encoded = self.CASES[index].to_dict()
+        assert encoded == self.ENCODED[index - 1]
+        assert list(encoded) == list(self.ENCODED[index - 1])  # key order too
 
     def test_to_dict_is_json_ready(self):
         import json

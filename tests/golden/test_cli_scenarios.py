@@ -1,16 +1,17 @@
-"""The serving CLI contract is pinned: argv -> scenario, and the option tables.
+"""The CLI contract is pinned: argv -> scenario, and the option tables.
 
 ``tests/golden/cli_scenarios.json`` records, for a corpus of ``serve``,
-``cluster`` and ``sweep --serve/--cluster`` command lines, the scenario each
-one builds (its ``to_dict()`` and ``key()``) or the grid it expands (the
-header line plus every point's label, kind and key).  It also records every
-option string of those subcommands with its default, nargs, const and action
-kind.  Nothing is simulated: ``run`` and ``run_sweep`` are patched to capture
-their input and stop.
+``cluster``, ``run``, ``info`` and ``sweep`` command lines, the scenario each
+one builds (its ``to_dict()`` and ``key()``; both scenarios of a kernel
+``run``, its baseline first) or the grid it expands (the header line plus
+every point's label, kind and key).  It also records every option string of
+those subcommands with its default, nargs, const and action kind.  Nothing is
+simulated: ``run``, ``run_sweep`` and the analytical model are patched to
+capture their input.
 
 The fixture was generated from the hand-written parsers that the declared
-serving knobs replaced.  Never regenerate it: a mismatch means a command line
-now means something else, or a stored result would re-simulate on resume.
+knobs replaced.  Never regenerate it: a mismatch means a command line now
+means something else, or a stored result would re-simulate on resume.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import repro.cli
+from repro.api import Scenario
 from repro.cli import build_parser, main
 from repro.cluster.scenario import ClusterScenario
 from repro.serve.scenario import ServeScenario
@@ -82,9 +84,17 @@ COMMANDS = (
     # kernel sweep (the mode every serving flag must stay out of)
     "sweep --model llama3-70b --seq-len 2048 --policy unopt --policy dynmg+BMA "
     "--l2-mib 16",
+    "sweep",
+    "sweep --max-cycles 5000 --tier smoke --policy dynmg --l2-mib 16 --l2-mib 32",
+    # kernel run / info
+    "run",
+    "run --model llama3-405b --seq-len 2048 --policy unopt --system table5-8core "
+    "--tier smoke",
+    "info",
+    "info --tier ci --seq-len 512",
 )
 
-SUBCOMMANDS = ("serve", "cluster", "sweep")
+SUBCOMMANDS = ("serve", "cluster", "sweep", "run", "info")
 
 
 class _Captured(Exception):
@@ -101,16 +111,53 @@ def _capture_sweep(points, **kwargs):
     raise _Captured(tuple(points))
 
 
+class _NoResult:
+    """What a captured kernel ``Scenario.run`` returns instead of simulating."""
+
+    cycles = 1
+
+    def summary(self) -> str:
+        return ""
+
+
 def capture(argv: list[str], monkeypatch, capsys) -> dict:
     """What ``argv`` would simulate, without simulating it."""
 
+    resolved: list[Scenario] = []
+    ran: list[Scenario] = []
+    resolve = Scenario.resolve
+
+    def _record_resolve(self):
+        resolved.append(self)
+        return resolve(self)
+
+    def _record_run(self):
+        ran.append(self)
+        return _NoResult()
+
+    def _capture_analyze(*args, **kwargs):
+        raise _Captured(resolved[-1:])
+
     monkeypatch.setattr(ServeScenario, "run", _capture_run)
     monkeypatch.setattr(ClusterScenario, "run", _capture_run)
+    monkeypatch.setattr(Scenario, "resolve", _record_resolve)
+    monkeypatch.setattr(Scenario, "run", _record_run)
+    monkeypatch.setattr(repro.cli, "analyze", _capture_analyze)
     monkeypatch.setattr(repro.cli, "run_sweep", _capture_sweep)
     capsys.readouterr()
-    with pytest.raises(_Captured) as excinfo:
+    try:
         main(argv)
-    payload = excinfo.value.payload
+    except _Captured as exc:
+        payload = exc.payload
+    else:  # a kernel `run`: every scenario it simulated, in order
+        payload = ran
+    if isinstance(payload, list):
+        assert payload, f"{argv} captured no kernel scenario"
+        return {
+            "scenarios": [
+                {"scenario": scenario.to_dict(), "key": scenario.key()} for scenario in payload
+            ]
+        }
     if isinstance(payload, tuple):
         return {
             "header": capsys.readouterr().out.splitlines()[0],
@@ -142,7 +189,7 @@ def _action_kind(action: argparse.Action) -> str:
 
 
 def option_tables() -> dict:
-    """Every option string of the serving subcommands, by primary spelling."""
+    """Every option string of the pinned subcommands, by primary spelling."""
 
     parser = build_parser()
     (subparsers,) = (
