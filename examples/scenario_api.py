@@ -3,12 +3,12 @@
 
 Fig 7(c) reports the cumulative speedup of dynmg+BMA over the unoptimized
 configuration for Llama3-70B; this example reproduces its 4K-token cell via
-:class:`repro.api.Scenario` / :class:`repro.api.Simulation` and checks that
-the facade's cycle counts agree with the Fig 7 harness exactly (both route
-through the same content-hashed sweep points).
+:class:`repro.api.Scenario` and checks that the facade's cycle counts agree
+with the Fig 7 harness exactly (both route through the same content-hashed
+sweep points).
 
 It also shows the extension story: registering a brand-new workload with one
-decorator makes it usable from the builder with no other edits.
+decorator makes it usable from a Scenario with no other edits.
 
 Usage::
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.api import Scenario, Simulation
+from repro.api import Scenario
 from repro.config import llama3_70b_logit, parse_tier
 from repro.experiments.fig7 import run_fig7_cumulative
 from repro.registry import register_workload
@@ -32,19 +32,14 @@ def main() -> None:
     args = parser.parse_args()
     tier = parse_tier(args.tier)
 
-    # -- the Fig 7 point through the fluent builder (5 lines) ----------------------
-    result = (
-        Simulation.builder()
-        .system("table5")
-        .workload("llama3-70b", seq_len=args.seq_len)
-        .policy("dynmg+BMA")
-        .tier(tier)
-        .run()
+    # -- the Fig 7 point through one Scenario -----------------------------------------
+    scenario = Scenario(
+        workload="llama3-70b", policy="dynmg+BMA", system="table5",
+        seq_len=args.seq_len, tier=tier,
     )
-
-    baseline = Scenario(
-        workload="llama3-70b", policy="unopt", seq_len=args.seq_len, tier=tier
-    ).run()
+    comparison = scenario.compare(["dynmg+BMA"], baseline="unopt")
+    result, baseline = comparison.results["dynmg+BMA"], comparison.baseline
+    assert scenario.run().cycles == result.cycles, "run() and compare() disagree!"
     speedup = baseline.cycles / result.cycles
     print(f"dynmg+BMA : {result.cycles} cycles")
     print(f"unopt     : {baseline.cycles} cycles")
@@ -64,7 +59,7 @@ def main() -> None:
     def llama3_70b_short(seq_len: int = 1024):
         return llama3_70b_logit(1024)
 
-    short = Simulation.builder().workload("llama3-70b-short").tier("smoke").run()
+    short = Scenario(workload="llama3-70b-short", tier=parse_tier("smoke")).run()
     print(f"\nregistered 'llama3-70b-short' via decorator -> {short.cycles} cycles")
 
 

@@ -23,16 +23,12 @@ Python library:
 
 Quick start (the unified scenario API)::
 
-    from repro import Simulation
+    from repro import Scenario, ScaleTier
 
-    result = (
-        Simulation.builder()
-        .workload("llama3-70b", seq_len=8192)
-        .policy("dynmg+BMA")
-        .tier("ci")
-        .run()
+    scenario = Scenario(
+        workload="llama3-70b", policy="dynmg+BMA", seq_len=8192, tier=ScaleTier.CI
     )
-    print(result.summary())
+    print(scenario.run().summary())
 
 Scenario components (workloads, systems, policies, throttle controllers) are
 named through the registries in :mod:`repro.registry`; anything registered
@@ -41,7 +37,7 @@ alike.
 """
 
 from repro import config, registry
-from repro.api import ClusterScenario, Scenario, ServeScenario, Simulation, run_scenario
+from repro.api import ClusterScenario, Scenario, ServeScenario
 from repro.config import (
     PolicyConfig,
     ScaleTier,
@@ -65,7 +61,6 @@ __all__ = [
     "Scenario",
     "ServeScenario",
     "SimResult",
-    "Simulation",
     "Simulator",
     "SystemConfig",
     "WorkloadConfig",
@@ -77,7 +72,6 @@ __all__ = [
     "llama3_70b_logit",
     "registry",
     "run_policy",
-    "run_scenario",
     "simulate",
     "table5_system",
     "unoptimized",

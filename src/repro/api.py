@@ -8,21 +8,21 @@ is the common currency of the stack: the CLI, declarative sweep grids
 (:mod:`repro.sweep.spec`) and the figure/table harnesses all resolve their
 points through it, and its content key is exactly the
 :meth:`~repro.sweep.spec.SweepPoint.key` hash, so results stored by any layer
-are shared by all of them.
+are shared by all of them.  Each field is declared once
+(:func:`repro.serve.knobs.knob`); serialization, range checks, the ``run`` /
+``info`` / ``sweep`` flags and the kernel sweep's grid derive from the
+declarations.
 
 Quick start::
 
-    from repro.api import Simulation
+    from repro.api import Scenario
+    from repro.config.scale import ScaleTier
 
-    result = (
-        Simulation.builder()
-        .system("table5")
-        .workload("llama3-70b", seq_len=8192)
-        .policy("dynmg+BMA")
-        .tier("ci")
-        .run()
+    scenario = Scenario(
+        workload="llama3-70b", policy="dynmg+BMA", seq_len=8192, tier=ScaleTier.CI
     )
-    print(result.summary())
+    print(scenario.run().summary())
+    print(scenario.compare(["dynmg", "dynmg+BMA"]).table())
 
 Anything registered through :mod:`repro.registry` is immediately addressable
 here, from ``llamcat`` and from sweep grids, with zero further edits.
@@ -37,27 +37,39 @@ which adds the replica count, the router and the per-replica system presets
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, field
+from typing import ClassVar, Iterable, NamedTuple
 
 from repro.cluster.scenario import ClusterScenario, run_cluster_scenario
 from repro.common.errors import ConfigError
 from repro.config.policies import PolicyConfig
-from repro.config.scale import ScaleTier, parse_tier, scale_experiment
+from repro.config.presets import FIG9_L2_MIB, FIG9_SEQ_LEN
+from repro.config.scale import ScaleTier, scale_experiment
 from repro.config.system import MIB, SystemConfig
 from repro.config.workload import WorkloadConfig
 from repro.dataflow.constraints import DataflowConstraints
 from repro.dataflow.ordering import ThreadBlockOrdering, parse_ordering
 from repro.registry import resolve_policy, resolve_system, resolve_workload
+from repro.serve.knobs import (
+    POSITIVE,
+    TIER,
+    Codec,
+    check_ranges,
+    decode,
+    encode,
+    knob,
+    optional_config,
+)
 from repro.serve.scenario import ServeScenario, run_serve_scenario
 from repro.sim.results import SimResult
 from repro.sim.runner import PolicyComparison, compare_policies, run_policy
-from repro.sweep.spec import SweepPoint, config_to_jsonable, resolved_point
+from repro.sweep.spec import FIG9_POLICY_LABELS, SweepPoint, resolved_point
 
 #: The system name a Scenario uses when none is given.
 DEFAULT_SYSTEM = "table5"
 
-
+#: A dispatch ordering is written by its name (e.g. ``"gqa-shared"``).
+ORDERING = Codec(lambda ordering: ordering.value, parse_ordering)
 
 
 class ResolvedScenario(NamedTuple):
@@ -76,23 +88,54 @@ class Scenario:
     :mod:`repro.registry`; everything else parameterises the resolved point.
     ``policy_config`` is the escape hatch for parameter sweeps (Tables 2-4
     vary throttling knobs that no label captures): when set, it is simulated
-    verbatim and ``policy`` is just the display name.
+    verbatim and ``policy`` must be its label.
     """
 
-    workload: str
-    policy: str = "unopt"
-    system: str = DEFAULT_SYSTEM
-    #: Requested (unscaled) sequence length; None keeps the builder's default.
-    seq_len: int | None = None
+    #: The sweep mode of kernel scenarios (the default; ``--serve`` and
+    #: ``--cluster`` select the serving kinds).
+    kind: ClassVar[str] = "kernel"
+
+    workload: str = field(metadata=knob(
+        help="registered workload name (e.g. llama3-70b)", flags=("--model",),
+        flag_default="llama3-70b", axis=0, axis_values=("llama3-70b", "llama3-405b"),
+    ))
+    policy: str = field(default="unopt", metadata=knob(
+        help='cache policy label, e.g. "unopt", "dynmg", "dynmg+BMA" (a sweep\'s first '
+             "label is its speedup baseline)",
+        flags=("--policy",), flag_default="dynmg+BMA", axis=3, axis_values=FIG9_POLICY_LABELS,
+    ))
+    system: str = field(default=DEFAULT_SYSTEM, metadata=knob(
+        help="registered system name", flags=("--system",),
+    ))
+    #: Requested (unscaled) sequence length; None keeps the workload's default.
+    seq_len: int | None = field(default=None, metadata=knob(
+        help="requested (unscaled) sequence length", bound=POSITIVE, flags=("--seq-len",),
+        parse=int, flag_default=4096, axis=2, axis_values=(FIG9_SEQ_LEN,),
+    ))
     #: Total L2 capacity override in MiB; None keeps the system's capacity.
-    l2_mib: int | None = None
-    tier: ScaleTier = ScaleTier.CI
-    ordering: ThreadBlockOrdering = ThreadBlockOrdering.GQA_SHARED
-    constraints: DataflowConstraints | None = None
-    max_cycles: int | None = None
+    l2_mib: int | None = field(default=None, metadata=knob(
+        help="total L2 capacity in MiB", bound=POSITIVE, flags=("--l2-mib",), parse=int,
+        axis=1, axis_values=FIG9_L2_MIB,
+    ))
+    tier: ScaleTier = field(default=ScaleTier.CI, metadata=knob(
+        help="scale tier, e.g. smoke, ci, full", codec=TIER, flags=("--tier",),
+        flag_default="ci", sweep=True,
+    ))
+    ordering: ThreadBlockOrdering = field(
+        default=ThreadBlockOrdering.GQA_SHARED, metadata=knob(codec=ORDERING)
+    )
+    constraints: DataflowConstraints | None = field(default=None, metadata=knob(
+        codec=optional_config(lambda data: DataflowConstraints(**data)),
+    ))
+    max_cycles: int | None = field(default=None, metadata=knob(
+        help="simulated-cycle cap of every point", flags=("--max-cycles",), parse=int,
+        sweep=True,
+    ))
     #: Display label (defaults to the policy name); never part of the key.
-    label: str | None = None
-    policy_config: PolicyConfig | None = None
+    label: str | None = field(default=None, metadata=knob())
+    policy_config: PolicyConfig | None = field(default=None, metadata=knob(
+        codec=optional_config(PolicyConfig.from_dict),
+    ))
 
     @classmethod
     def create(
@@ -111,16 +154,20 @@ class Scenario:
 
     # -- validation / resolution -------------------------------------------------------
     def validate(self) -> "Scenario":
-        if self.seq_len is not None and self.seq_len <= 0:
-            raise ConfigError(f"seq_len must be positive, got {self.seq_len}")
-        if self.l2_mib is not None and self.l2_mib <= 0:
-            raise ConfigError(f"l2_mib must be positive, got {self.l2_mib}")
+        check_ranges(self)
         if not isinstance(self.tier, ScaleTier):
             raise ConfigError(f"tier must be a ScaleTier, got {self.tier!r}")
         if not isinstance(self.ordering, ThreadBlockOrdering):
             raise ConfigError(
                 f"ordering must be a ThreadBlockOrdering, got {self.ordering!r} "
                 f"(use repro.api.parse_ordering for names)"
+            )
+        if self.policy_config is not None and self.policy_config.label != self.policy:
+            # e.g. a Grid policy axis over a Scenario.create(..., PolicyConfig) base,
+            # which would otherwise run the base config in every cell.
+            raise ConfigError(
+                f"policy {self.policy!r} is not the label of policy_config "
+                f"({self.policy_config.label!r}); set both or neither"
             )
         self.resolve()  # raises ConfigError on unknown names
         return self
@@ -201,43 +248,11 @@ class Scenario:
 
     # -- (de)serialization -------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "policy": self.policy,
-            "system": self.system,
-            "seq_len": self.seq_len,
-            "l2_mib": self.l2_mib,
-            "tier": self.tier.name,
-            "ordering": self.ordering.value,
-            "constraints": config_to_jsonable(self.constraints),
-            "max_cycles": self.max_cycles,
-            "label": self.label,
-            "policy_config": config_to_jsonable(self.policy_config),
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        constraints = data.get("constraints")
-        policy_config = data.get("policy_config")
-        return cls(
-            workload=data["workload"],
-            policy=data.get("policy", "unopt"),
-            system=data.get("system", DEFAULT_SYSTEM),
-            seq_len=data.get("seq_len"),
-            l2_mib=data.get("l2_mib"),
-            tier=parse_tier(data.get("tier", ScaleTier.CI.name)),
-            ordering=parse_ordering(
-                data.get("ordering", ThreadBlockOrdering.GQA_SHARED.value)
-            ),
-            constraints=(
-                DataflowConstraints(**constraints) if constraints is not None else None
-            ),
-            max_cycles=data.get("max_cycles"),
-            label=data.get("label"),
-            policy_config=(
-                PolicyConfig.from_dict(policy_config) if policy_config is not None else None
-            ),
-        )
+        return decode(cls, data)
 
     # -- execution ---------------------------------------------------------------------
     def run(self) -> SimResult:
@@ -254,96 +269,6 @@ class Scenario:
             constraints=self.constraints,
         )
 
-    def describe(self) -> str:
-        return self.to_point().describe()
-
-
-class SimulationBuilder:
-    """Fluent construction of a :class:`Scenario` / :class:`Simulation`."""
-
-    def __init__(self) -> None:
-        self._fields: dict[str, object] = {}
-
-    def workload(self, name: str, seq_len: int | None = None) -> "SimulationBuilder":
-        self._fields["workload"] = name
-        if seq_len is not None:
-            self._fields["seq_len"] = seq_len
-        return self
-
-    def seq_len(self, seq_len: int) -> "SimulationBuilder":
-        self._fields["seq_len"] = seq_len
-        return self
-
-    def system(self, name: str) -> "SimulationBuilder":
-        self._fields["system"] = name
-        return self
-
-    def policy(self, policy: str | PolicyConfig) -> "SimulationBuilder":
-        if isinstance(policy, PolicyConfig):
-            self._fields["policy"] = policy.label
-            self._fields["policy_config"] = policy
-        else:
-            self._fields["policy"] = policy
-            # A later label call overrides an earlier explicit config entirely.
-            self._fields.pop("policy_config", None)
-        return self
-
-    def tier(self, tier: ScaleTier | str) -> "SimulationBuilder":
-        self._fields["tier"] = parse_tier(tier)
-        return self
-
-    def l2_mib(self, l2_mib: int) -> "SimulationBuilder":
-        self._fields["l2_mib"] = l2_mib
-        return self
-
-    def ordering(self, ordering: ThreadBlockOrdering | str) -> "SimulationBuilder":
-        self._fields["ordering"] = parse_ordering(ordering)
-        return self
-
-    def constraints(self, constraints: DataflowConstraints) -> "SimulationBuilder":
-        self._fields["constraints"] = constraints
-        return self
-
-    def max_cycles(self, max_cycles: int) -> "SimulationBuilder":
-        self._fields["max_cycles"] = max_cycles
-        return self
-
-    def label(self, label: str) -> "SimulationBuilder":
-        self._fields["label"] = label
-        return self
-
-    def build(self) -> Scenario:
-        if "workload" not in self._fields:
-            raise ConfigError("SimulationBuilder needs .workload(name) before .build()")
-        return Scenario(**self._fields).validate()  # type: ignore[arg-type]
-
-    def run(self) -> SimResult:
-        return self.build().run()
-
-
-class Simulation:
-    """A runnable simulation bound to one :class:`Scenario`."""
-
-    def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario
-
-    @classmethod
-    def builder(cls) -> SimulationBuilder:
-        return SimulationBuilder()
-
-    @classmethod
-    def of(cls, workload: str, **kwargs) -> "Simulation":
-        """Shorthand: ``Simulation.of("llama3-70b", policy="dynmg", tier=...)``."""
-
-        if "tier" in kwargs:
-            kwargs["tier"] = parse_tier(kwargs["tier"])
-        if "ordering" in kwargs:
-            kwargs["ordering"] = parse_ordering(kwargs["ordering"])
-        return cls(Scenario(workload=workload, **kwargs).validate())
-
-    def run(self) -> SimResult:
-        return self.scenario.run()
-
     def compare(
         self, policies: Iterable[str], baseline: str = "unopt"
     ) -> PolicyComparison:
@@ -353,8 +278,7 @@ class Simulation:
         it is not among ``policies``); ordering and constraints are honoured.
         """
 
-        scenario = self.scenario
-        resolved = scenario.resolve()
+        resolved = self.resolve()
         labelled = {baseline: resolve_policy(baseline)}
         labelled.update({label: resolve_policy(label) for label in policies})
         return compare_policies(
@@ -362,43 +286,13 @@ class Simulation:
             resolved.workload,
             labelled,
             baseline_label=baseline,
-            max_cycles=scenario.max_cycles,
-            ordering=scenario.ordering,
-            constraints=scenario.constraints,
+            max_cycles=self.max_cycles,
+            ordering=self.ordering,
+            constraints=self.constraints,
         )
 
-
-def run_scenario(scenario: Scenario) -> SimResult:
-    """Module-level convenience: resolve and simulate one scenario."""
-
-    return scenario.run()
-
-
-def scenario_matrix(
-    workloads: Iterable[str],
-    policies: Iterable[str],
-    base: Scenario | None = None,
-    **overrides,
-) -> list[Scenario]:
-    """Cartesian helper: one Scenario per (workload, policy) pair.
-
-    ``base`` supplies the shared knobs (tier, seq_len, ...); ``overrides`` are
-    applied on top.  Useful for ad-hoc grids without a full :class:`~repro.sweep.spec.Grid`.
-    """
-
-    template = base if base is not None else Scenario(workload="llama3-70b")
-    if "tier" in overrides:
-        overrides["tier"] = parse_tier(overrides["tier"])  # accept strings
-    if "ordering" in overrides:
-        overrides["ordering"] = parse_ordering(overrides["ordering"])
-    # The cell's policy label must win outright: a policy_config or display
-    # label inherited from `base` would silently override every cell's policy.
-    cell_fields = {"policy_config": None, "label": None, **overrides}
-    return [
-        replace(template, workload=w, policy=p, **cell_fields)
-        for w in workloads
-        for p in policies
-    ]
+    def describe(self) -> str:
+        return self.to_point().describe()
 
 
 __all__ = [
@@ -407,11 +301,7 @@ __all__ = [
     "ResolvedScenario",
     "Scenario",
     "ServeScenario",
-    "Simulation",
-    "SimulationBuilder",
     "parse_ordering",
     "run_cluster_scenario",
-    "run_scenario",
     "run_serve_scenario",
-    "scenario_matrix",
 ]

@@ -67,12 +67,6 @@ class BaseArbiter:
     def notify_hit(self, line_addr: int, cycle: int) -> None:
         """A cache hit was determined for ``line_addr`` (updates hit history)."""
 
-    def notify_fill(self, line_addr: int, cycle: int) -> None:
-        """A line was filled into the cache storage (used by reuse predictors)."""
-
-    def notify_outcome(self, req: MemRequest, was_hit: bool, was_mshr_hit: bool) -> None:
-        """Actual outcome of a previously selected request (prediction accounting)."""
-
     # -- request-vs-response arbitration hook ----------------------------------------------
     def wants_response_priority(
         self, resp_queue_len: int, resp_queue_capacity: int, req_queue_len: int

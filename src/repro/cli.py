@@ -62,7 +62,6 @@ from repro.bench.trend import (
 )
 from repro.cluster.scenario import ClusterScenario, parse_disaggregated
 from repro.common.errors import ConfigError, LivelockError
-from repro.config.presets import FIG9_L2_MIB, FIG9_SEQ_LEN
 from repro.config.scale import parse_tier
 from repro.dataflow.analytical import analyze
 from repro.experiments.fig7 import run_fig7_cumulative, run_fig7_throttling
@@ -86,7 +85,7 @@ from repro.serve.knobs import add_flags, from_args, given, sweep_grid
 from repro.serve.metrics import REPORTED_PERCENTILES
 from repro.serve.scenario import DEFAULT_WORKLOAD, ServeScenario
 from repro.sweep.executor import run_sweep
-from repro.sweep.spec import FIG9_POLICY_LABELS, Grid
+from repro.sweep.spec import Grid
 from repro.sweep.store import ResultStore
 
 #: ``llamcat list <what>`` -> registry.
@@ -109,9 +108,12 @@ BENCH_COMPARE_THRESHOLD_PCT = 10.0
 #: an upper bound); ``check --determinism`` runs the same smoke shapes.
 SMOKE = {"tier": "smoke", "num_requests": 8, "max_batch": 2}
 
-#: Sweep flags the kernel grid reads too: written by hand below, with the
-#: field name as dest, so the serving grid picks them up as well.
-KERNEL_SWEEP_KNOBS = frozenset({"workload", "policy", "tier", "max_cycles"})
+#: The scenario class of each sweep mode and how a command line selects it.
+SWEEP_MODES: tuple[tuple[Any, str], ...] = (
+    (Scenario, "no --serve/--cluster"),
+    (ServeScenario, "--serve"),
+    (ClusterScenario, "--cluster"),
+)
 
 logger = logging.getLogger(__name__)
 
@@ -166,11 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate one policy")
-    run_p.add_argument("--model", default="llama3-70b")
-    run_p.add_argument("--seq-len", type=int, default=4096)
-    run_p.add_argument("--policy", default="dynmg+BMA", help='e.g. "unopt", "dynmg", "dynmg+BMA"')
-    run_p.add_argument("--system", default="table5", help="registered system name")
-    run_p.add_argument("--tier", default="ci")
+    add_flags(run_p, (Scenario,), skip=("l2_mib", "max_cycles"))
 
     for name, cls, help_text, smoke in (
         ("serve", ServeScenario,
@@ -191,25 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a grid of simulation points in parallel (Fig 9-style by default)",
     )
     sweep_p.add_argument(
-        "--model", action="append", dest="workload",
-        help="repeatable; default: llama3-70b and llama3-405b "
-             f"({DEFAULT_WORKLOAD} with --serve/--cluster)",
-    )
-    sweep_p.add_argument(
-        "--seq-len", type=int, action="append", dest="seq_lens",
-        help=f"repeatable; default: {FIG9_SEQ_LEN}",
-    )
-    sweep_p.add_argument(
-        "--policy", action="append", dest="policy",
-        help='repeatable paper-style labels, e.g. "unopt", "dynmg+BMA"; '
-             "the first is the speedup baseline (default: the Fig 9 legend; "
-             '"unopt" with --serve/--cluster)',
-    )
-    sweep_p.add_argument(
-        "--l2-mib", type=int, action="append", dest="l2_mib",
-        help=f"repeatable L2 capacities in MiB; default: {FIG9_L2_MIB}",
-    )
-    sweep_p.add_argument(
         "--serve", action="store_true",
         help="sweep serving points (workloads x arrivals x rates x policies) "
              "instead of kernel points",
@@ -219,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep cluster points (workloads x arrivals x rates x replicas x "
              "routers x policies) instead of kernel points",
     )
-    sweep_p.add_argument("--tier", default="ci")
     sweep_p.add_argument("--jobs", type=int, default=1, help="worker processes")
     sweep_p.add_argument(
         "--store", default=None, metavar="PATH",
@@ -228,9 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--force", action="store_true", help="re-simulate even if stored"
     )
-    sweep_p.add_argument("--max-cycles", type=int, default=None)
     sweep_p.add_argument("--quiet", action="store_true", help="suppress per-point progress")
-    add_flags(sweep_p, (ServeScenario, ClusterScenario), sweep=True, skip=KERNEL_SWEEP_KNOBS)
+    add_flags(sweep_p, tuple(cls for cls, _ in SWEEP_MODES), sweep=True)
 
     timeline_p = sub.add_parser(
         "timeline",
@@ -393,10 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("hwcost", help="print the area estimates of Section 6.1")
 
     info_p = sub.add_parser("info", help="describe a workload and its analytical bounds")
-    info_p.add_argument("--model", default="llama3-70b")
-    info_p.add_argument("--seq-len", type=int, default=4096)
-    info_p.add_argument("--system", default="table5", help="registered system name")
-    info_p.add_argument("--tier", default="full")
+    add_flags(info_p, (Scenario,), skip=("policy", "l2_mib", "max_cycles"))
+    info_p.set_defaults(tier="full")
     return parser
 
 
@@ -587,11 +562,29 @@ def _print_grid_results(title: str, rows: list[dict], report) -> int:
     return 1 if report.failures else 0
 
 
-def _run_serving_sweep_command(args: argparse.Namespace) -> int:
+def _sweep_mode(args: argparse.Namespace) -> Any:
+    """The scenario class the sweep flags select; rejects flags it has no field for.
+
+    Rejecting beats dropping: ``--rate`` without ``--serve`` would otherwise
+    launch the full kernel grid while ignoring the requested serving study.
+    """
+
+    if args.serve and args.cluster:
+        raise SystemExit("--serve and --cluster are mutually exclusive sweep modes")
+    cls: Any = ClusterScenario if args.cluster else ServeScenario if args.serve else Scenario
+    for name, flag in given(args).items():
+        owners = [(c, how) for c, how in SWEEP_MODES if name in {f.name for f in fields(c)}]
+        if all(c is not cls for c, _ in owners):
+            raise SystemExit(
+                f"{flag}: {'/'.join(c.kind for c, _ in owners)}-sweep only "
+                f"(sweep with {' or '.join(how for _, how in owners)})"
+            )
+    return cls
+
+
+def _run_serving_sweep_command(args: argparse.Namespace, grid: Grid) -> int:
     """``sweep --serve`` / ``sweep --cluster``: one grid over a serving scenario."""
 
-    _validate_jobs(args.jobs)
-    grid = sweep_grid(ClusterScenario if args.cluster else ServeScenario, args)
     base = grid.base
     metrics = {
         "p50_ms": lambda m: m.latency_percentile_ms(50),
@@ -623,44 +616,11 @@ def _run_serving_sweep_command(args: argparse.Namespace) -> int:
 
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
-    # Axes are mode-specific; reject mixed flags instead of silently dropping
-    # them (e.g. `--rate` without `--serve` would otherwise launch the full
-    # kernel grid while ignoring the requested serving study).
-    if args.serve and args.cluster:
-        raise SystemExit("--serve and --cluster are mutually exclusive sweep modes")
-    if (args.serve or args.cluster) and (args.seq_lens or args.l2_mib):
-        raise SystemExit(
-            "--seq-len/--l2-mib are kernel-sweep axes; drop them or drop "
-            "--serve/--cluster"
-        )
-    flags = given(args)
-    if not (args.serve or args.cluster) and flags:
-        raise SystemExit(
-            f"{'/'.join(flags.values())}: serving-sweep only; pass --serve or "
-            "--cluster to sweep serving points"
-        )
-    if args.serve:
-        serve_fields = {f.name for f in fields(ServeScenario)}
-        fleet_flags = [flag for name, flag in flags.items() if name not in serve_fields]
-        if fleet_flags:
-            raise SystemExit(
-                f"{'/'.join(fleet_flags)}: cluster-sweep only; pass --cluster to "
-                "sweep cluster points"
-            )
-    if args.serve or args.cluster:
-        return _run_serving_sweep_command(args)
+    cls = _sweep_mode(args)
     _validate_jobs(args.jobs)
-    policies = tuple(args.policy or FIG9_POLICY_LABELS)
-    tier = parse_tier(args.tier)
-    grid = Grid(
-        Scenario(workload="llama3-70b", tier=tier, max_cycles=args.max_cycles),
-        (
-            ("workload", tuple(args.workload or ("llama3-70b", "llama3-405b"))),
-            ("l2_mib", tuple(args.l2_mib or FIG9_L2_MIB)),
-            ("seq_len", tuple(args.seq_lens or (FIG9_SEQ_LEN,))),
-            ("policy", policies),
-        ),
-    )
+    grid = sweep_grid(cls, args)
+    if cls is not Scenario:
+        return _run_serving_sweep_command(args, grid)
 
     def progress(done: int, total: int, outcome) -> None:
         cycles = f"{outcome.result.cycles:>10}" if outcome.ok else " " * 10
@@ -670,7 +630,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
 
     # Summary table: speedups are normalised against the first --policy label
     # within each (model, L2, seq-len) cell.
-    baseline_label = policies[0]
+    baseline_label = dict(grid.axes)["policy"][0]
     baseline_cycles = {
         o.point.coords: o.result.cycles
         for o in report.outcomes
@@ -697,7 +657,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
                 ),
             }
         )
-    return _print_grid_results(f"sweep results (tier={tier.name})", rows, report)
+    return _print_grid_results(f"sweep results (tier={grid.base.tier.name})", rows, report)
 
 
 def _bench_command(args: argparse.Namespace) -> int:
@@ -881,13 +841,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
-        scenario = Scenario(
-            workload=args.model,
-            policy=args.policy,
-            system=args.system,
-            seq_len=args.seq_len,
-            tier=parse_tier(args.tier),
-        ).validate()
+        scenario = from_args(Scenario, args).validate()
         try:
             baseline = replace(scenario, policy="unopt", label="unoptimized").run()
             result = scenario.run()
@@ -944,13 +898,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "info":
-        scenario = Scenario(
-            workload=args.model,
-            system=args.system,
-            seq_len=args.seq_len,
-            tier=parse_tier(args.tier),
-        )
-        resolved = scenario.resolve()
+        resolved = from_args(Scenario, args).resolve()
         estimate = analyze(resolved.workload, resolved.system)
         print(resolved.workload.describe())
         print(f"thread blocks:        {estimate.thread_blocks}")

@@ -2,7 +2,7 @@
 
 Every preset registers itself in the scenario registries
 (:mod:`repro.registry`), which is what makes it addressable by name from the
-CLI, declarative sweep grids and the :class:`repro.api.Simulation` builder.
+CLI, declarative sweep grids and :class:`repro.api.Scenario`.
 Adding a workload, system or policy is *only* a matter of writing one decorated
 builder here (or in downstream code) -- no other layer needs editing.
 """

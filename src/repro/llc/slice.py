@@ -213,7 +213,6 @@ class LLCSlice:
         if hit:
             self.hits += 1
             self.arbiter.notify_hit(req.line_addr, cycle)
-            self.arbiter.notify_outcome(req, True, False)
             if req.is_write:
                 self.storage.mark_dirty(req.line_addr)
             latency = self.config.hit_latency + self.config.data_latency
@@ -253,10 +252,8 @@ class LLCSlice:
         self.last_activity_cycle = cycle
         if outcome == "merged":
             self.mshr_merges += 1
-            self.arbiter.notify_outcome(req, False, True)
         else:
             self.mshr_allocations += 1
-            self.arbiter.notify_outcome(req, False, False)
             self._send_dram(req.line_addr, is_write=False, cycle=cycle)
 
     def _process_fill(self, cycle: int) -> None:
@@ -266,7 +263,6 @@ class LLCSlice:
         self.fills_written += 1
         self.last_activity_cycle = cycle
         victim = self.storage.fill(line_addr, dirty)
-        self.arbiter.notify_fill(line_addr, cycle)
         if victim is not None and victim.dirty:
             self.writebacks += 1
             self._send_dram(victim.line_addr, is_write=True, cycle=cycle)

@@ -20,7 +20,7 @@ Nine global registries name every pluggable piece of a simulation:
 
 Registering a component makes it usable everywhere at once -- the CLI
 (``llamcat list/run/sweep``), declarative sweep grids, the figure harnesses and
-the :class:`repro.api.Simulation` builder all resolve names through here::
+:class:`repro.api.Scenario` all resolve names through here::
 
     from repro.registry import register_workload
 

@@ -1,16 +1,17 @@
-"""Serving knobs, declared once: the field table behind every serving scenario.
+"""Scenario knobs, declared once: the field table behind every scenario.
 
-Each field of a serving scenario is declared once, as
-``field(default=..., metadata=knob(...))``: :func:`knob` stores a :class:`Knob`
-in the dataclass field's metadata.  The declaration carries the
-help text, the allowed range, the JSON codec, the omit-when-unset group, the
-command-line spelling and the sweep role.  Everything else derives from it:
+Each field of a kernel (:class:`repro.api.Scenario`), serve or cluster
+scenario is declared once, as ``field(default=..., metadata=knob(...))``:
+:func:`knob` stores a :class:`Knob` in the dataclass field's metadata.  The
+declaration carries the help text, the allowed range, the JSON codec, the
+omit-when-unset group, the command-line spelling and the sweep role.
+Everything else derives from it:
 
 * ``to_dict`` / ``from_dict`` (:func:`encode`, :func:`decode`);
 * the range checks of ``validate()`` (:func:`check_ranges`);
-* the ``serve`` / ``cluster`` / ``sweep`` flags (:func:`add_flags`), the
-  scenario a command line names (:func:`from_args`) and the serving sweep's
-  grid (:func:`sweep_grid`).
+* the ``run`` / ``info`` / ``serve`` / ``cluster`` / ``sweep`` flags
+  (:func:`add_flags`), the scenario a command line names (:func:`from_args`)
+  and each sweep mode's grid (:func:`sweep_grid`).
 
 Registry-name resolution and cross-field rules stay hand-written in the
 scenario classes.
@@ -25,7 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.common.errors import ConfigError
 from repro.config.scale import parse_tier
-from repro.sweep.spec import Grid
+from repro.sweep.spec import Grid, config_to_jsonable
 
 #: Range names a knob may declare; both also require a finite float.
 POSITIVE = "positive"
@@ -48,6 +49,12 @@ PAIRS = Codec(
 TIER = Codec(lambda tier: tier.name, parse_tier)
 
 
+def optional_config(build: Callable[[dict], Any]) -> Codec:
+    """The codec of an optional config dataclass, written as its field dict."""
+
+    return Codec(config_to_jsonable, lambda data: None if data is None else build(data))
+
+
 @dataclass(frozen=True, slots=True)
 class Knob:
     """The declaration of one scenario field, made through :func:`knob`."""
@@ -60,7 +67,8 @@ class Knob:
     #: The field whose None value drops this one from ``to_dict``, so knobs
     #: added later keep the content hashes of older scenarios.
     omit_unless: str | None = None
-    #: Option strings on ``serve``/``cluster`` (and ``sweep``, for sweep knobs).
+    #: Option strings on the scenario's own subcommands (and ``sweep``, for
+    #: sweep knobs).
     flags: tuple[str, ...] = ()
     #: The flag's argument type (default: the type of an int/float default).
     parse: Callable[[str], Any] | None = None
@@ -166,9 +174,10 @@ def add_flags(
 ) -> None:
     """Add the flags of every declared knob of ``classes`` (dest: the field name).
 
-    With ``sweep``, only sweep knobs get flags: axes become repeatable and
-    the help names the sweep modes that take them.  ``skip`` lists fields
-    whose flags the caller writes by hand.
+    With ``sweep``, only sweep knobs get flags: axes become repeatable, the
+    help gives each sweep mode's (scenario kind's) axis default and names
+    the modes that take the flag, when not all do.  ``skip`` lists fields
+    that get no flag here.
     """
 
     seen = set(skip)
@@ -191,29 +200,34 @@ def add_flags(
                 if spec.const is not None:
                     kwargs |= {"nargs": "?", "const": spec.const}
             if sweep:
-                modes = "/".join(
-                    f"--{c.kind}" for c in classes if f.name in {g.name for g in fields(c)}
-                )
+                owners = [(c.kind, g, k) for c in classes for g, k in knobs(c) if g.name == f.name]
                 if spec.axis is not None:
-                    values = spec.axis_values or (_flag_default(f, spec),)
-                    kwargs["help"] += f"; repeatable sweep axis (default: {values})"
-                kwargs["help"] += f" (only with {modes})"
+                    defaults: dict[tuple, list[str]] = {}
+                    for kind, g, k in owners:
+                        defaults.setdefault(k.axis_values or (_flag_default(g, k),), []).append(kind)
+                    text = "; ".join(
+                        str(values) if len(defaults) == 1 else f"{'/'.join(kinds)}: {values}"
+                        for values, kinds in defaults.items()
+                    )
+                    kwargs["help"] += f"; repeatable sweep axis (default: {text})"
+                if len(owners) < len(classes):
+                    kwargs["help"] += f" ({'/'.join(kind for kind, _, _ in owners)} sweep only)"
             parser.add_argument(*spec.flags, **kwargs)
 
 
 def from_args(cls: Any, args: argparse.Namespace, **overrides: Any) -> Any:
-    """The scenario the parsed ``serve``/``cluster`` flags name.
+    """The scenario the parsed flags of a ``cls`` subcommand name.
 
-    Unset (None) flag values keep the field defaults; ``overrides`` are
+    Unset (None) and skipped flags keep the field defaults; ``overrides`` are
     JSON-style values (as in ``to_dict``) that win over the flags.
     """
 
-    data = {f.name: getattr(args, f.name) for f, spec in knobs(cls) if spec.flags}
+    data = {f.name: getattr(args, f.name, None) for f, spec in knobs(cls) if spec.flags}
     return decode(cls, {k: v for k, v in data.items() if v is not None} | overrides)
 
 
 def sweep_grid(cls: Any, args: argparse.Namespace) -> Grid:
-    """The serving sweep the parsed ``sweep`` flags name, over ``cls`` scenarios.
+    """The sweep the parsed ``sweep`` flags name, over ``cls`` scenarios.
 
     Axes run in their declared rank (outermost first); an axis no flag set
     takes its declared default.  The base is the grid's first cell.

@@ -13,7 +13,7 @@ only simulates what is missing.
 """
 
 from repro.sweep.executor import PointOutcome, SweepReport, run_sweep
-from repro.sweep.spec import Grid, ScenarioPoint, SweepPoint, fig9_spec, sweep_point
+from repro.sweep.spec import Grid, ScenarioPoint, SweepPoint, fig9_spec
 from repro.sweep.store import ResultStore, StoreRecord
 
 __all__ = [
@@ -26,5 +26,4 @@ __all__ = [
     "SweepReport",
     "fig9_spec",
     "run_sweep",
-    "sweep_point",
 ]

@@ -181,35 +181,6 @@ def resolved_point(
     )
 
 
-def sweep_point(
-    model: str,
-    seq_len: int,
-    policy: PolicyConfig | str,
-    l2_mib: int | None = None,
-    tier: ScaleTier = ScaleTier.CI,
-    label: str | None = None,
-    ordering: ThreadBlockOrdering = ThreadBlockOrdering.GQA_SHARED,
-    max_cycles: int | None = None,
-    constraints: DataflowConstraints | None = None,
-    extra_coords: tuple[tuple[str, object], ...] = (),
-) -> SweepPoint:
-    """Resolve one grid cell into a :class:`SweepPoint` (via a Scenario)."""
-
-    from repro.api import Scenario  # deferred: repro.api consumes this module
-
-    scenario = Scenario.create(
-        model,
-        policy,
-        seq_len=seq_len,
-        l2_mib=l2_mib,
-        tier=tier,
-        ordering=ordering,
-        max_cycles=max_cycles,
-        constraints=constraints,
-    )
-    return scenario.to_point(label=label, extra_coords=extra_coords)
-
-
 @dataclass(frozen=True, slots=True)
 class ScenarioPoint:
     """One serving or cluster job: a display label plus the scenario it runs.

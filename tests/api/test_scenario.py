@@ -6,14 +6,14 @@ from typing import ClassVar
 
 import pytest
 
-from repro.api import Scenario, Simulation, scenario_matrix
+from repro.api import Scenario
 from repro.common.errors import ConfigError
 from repro.config.policies import MultiGearParams, PolicyConfig, ThrottleKind
 from repro.config.presets import llama3_70b_logit, table5_system_with_l2
 from repro.config.scale import ScaleTier, scale_experiment
 from repro.dataflow.constraints import DataflowConstraints
 from repro.dataflow.ordering import ThreadBlockOrdering
-from repro.sweep.spec import sweep_point
+from repro.sweep.spec import Grid
 
 
 class TestScenarioResolution:
@@ -57,13 +57,16 @@ class TestScenarioResolution:
         with pytest.raises(ConfigError, match="ordering"):
             Scenario(workload="llama3-70b", ordering="sequential").validate()
 
-    def test_simulation_of_coerces_ordering_strings(self):
-        simulation = Simulation.of(
-            "llama3-70b", seq_len=128, tier="smoke", ordering="sequential"
-        )
-        assert simulation.scenario.ordering is ThreadBlockOrdering.SEQUENTIAL
+    def test_from_dict_parses_ordering_names(self):
+        scenario = Scenario.from_dict({"workload": "llama3-70b", "ordering": "sequential"})
+        assert scenario.ordering is ThreadBlockOrdering.SEQUENTIAL
         with pytest.raises(ConfigError, match="unknown thread-block ordering"):
-            Simulation.of("llama3-70b", ordering="bogus")
+            Scenario.from_dict({"workload": "llama3-70b", "ordering": "bogus"})
+
+    def test_policy_must_label_policy_config(self):
+        custom = PolicyConfig(throttle=ThrottleKind.DYNMG)
+        with pytest.raises(ConfigError, match="policy_config"):
+            Scenario(workload="llama3-70b", policy="lcs", policy_config=custom).validate()
 
     def test_requested_seq_len_uses_builder_default(self):
         assert Scenario(workload="llama3-70b").requested_seq_len == 8192
@@ -180,9 +183,9 @@ class TestScenarioKey:
             workload="llama3-70b", policy="dynmg", seq_len=2048,
             l2_mib=16, tier=ScaleTier.CI,
         )
-        point = sweep_point(
-            "llama3-70b", 2048, "dynmg", l2_mib=16, tier=ScaleTier.CI
-        )
+        point = Scenario.create(
+            "llama3-70b", "dynmg", seq_len=2048, l2_mib=16, tier=ScaleTier.CI
+        ).to_point()
         assert scenario.key() == point.key()
         assert scenario.to_point() == point
 
@@ -202,79 +205,10 @@ class TestScenarioKey:
         assert base.key() != constrained.key()
 
 
-class TestBuilder:
-    def test_fluent_builder_builds_scenario(self):
-        scenario = (
-            Simulation.builder()
-            .system("table5")
-            .workload("llama3-70b", seq_len=1024)
-            .policy("dynmg+BMA")
-            .tier("smoke")
-            .l2_mib(16)
-            .ordering("sequential")
-            .max_cycles(50_000)
-            .label("mine")
-            .build()
-        )
-        assert scenario == Scenario(
-            workload="llama3-70b",
-            policy="dynmg+BMA",
-            seq_len=1024,
-            l2_mib=16,
-            tier=ScaleTier.SMOKE,
-            ordering=ThreadBlockOrdering.SEQUENTIAL,
-            max_cycles=50_000,
-            label="mine",
-        )
-
-    def test_builder_requires_workload(self):
-        with pytest.raises(ConfigError, match="workload"):
-            Simulation.builder().policy("unopt").build()
-
-    def test_builder_rejects_unknown_tier(self):
-        with pytest.raises(ConfigError, match="unknown scale tier"):
-            Simulation.builder().workload("llama3-70b").tier("gigantic")
-
-    def test_builder_accepts_policy_config(self):
-        custom = PolicyConfig(throttle=ThrottleKind.LCS)
-        scenario = (
-            Simulation.builder().workload("llama3-70b").policy(custom).tier("smoke").build()
-        )
-        assert scenario.policy_config == custom
-        assert scenario.policy == "lcs"
-
-    def test_later_policy_label_overrides_earlier_config(self):
-        custom = PolicyConfig(throttle=ThrottleKind.DYNMG)
-        scenario = (
-            Simulation.builder()
-            .workload("llama3-70b")
-            .policy(custom)
-            .policy("lcs")
-            .tier("smoke")
-            .build()
-        )
-        assert scenario.policy_config is None
-        assert scenario.resolve().policy.throttle == ThrottleKind.LCS
-
-    def test_builder_run_matches_scenario_run(self):
-        result = (
-            Simulation.builder()
-            .workload("llama3-70b", seq_len=256)
-            .policy("unopt")
-            .tier("smoke")
-            .run()
-        )
-        again = Scenario(
-            workload="llama3-70b", seq_len=256, tier=ScaleTier.SMOKE
-        ).run()
-        assert result.cycles == again.cycles
-        assert result.cycles > 0
-
-
-class TestSimulationCompare:
+class TestScenarioCompare:
     def test_compare_includes_baseline(self):
-        simulation = Simulation.of("llama3-70b", seq_len=256, tier=ScaleTier.SMOKE)
-        comparison = simulation.compare(["dynmg"], baseline="unopt")
+        scenario = Scenario(workload="llama3-70b", seq_len=256, tier=ScaleTier.SMOKE)
+        comparison = scenario.compare(["dynmg"], baseline="unopt")
         assert set(comparison.results) == {"unopt", "dynmg"}
         assert comparison.speedup("unopt") == pytest.approx(1.0)
 
@@ -299,43 +233,24 @@ class TestSimulationCompare:
 
         monkeypatch.setattr(runner_module, "run_policy", fake_run_policy)
         constraints = DataflowConstraints(output_lines_per_block=2)
-        simulation = Simulation.of(
-            "llama3-70b", seq_len=256, tier=ScaleTier.SMOKE,
+        scenario = Scenario(
+            workload="llama3-70b", seq_len=256, tier=ScaleTier.SMOKE,
             ordering=ThreadBlockOrdering.SEQUENTIAL, constraints=constraints,
         )
-        simulation.compare(["dynmg"], baseline="unopt")
+        scenario.compare(["dynmg"], baseline="unopt")
         assert len(captured) == 2
         for _label, ordering, forwarded in captured:
             assert ordering is ThreadBlockOrdering.SEQUENTIAL
             assert forwarded == constraints
 
 
-class TestScenarioMatrix:
-    def test_matrix_is_cartesian(self):
-        scenarios = scenario_matrix(
-            workloads=("llama3-70b", "llama3-405b"),
-            policies=("unopt", "dynmg"),
-            tier="smoke",
-            seq_len=128,
-        )
-        assert len(scenarios) == 4
-        assert {(s.workload, s.policy) for s in scenarios} == {
-            ("llama3-70b", "unopt"),
-            ("llama3-70b", "dynmg"),
-            ("llama3-405b", "unopt"),
-            ("llama3-405b", "dynmg"),
-        }
-        assert all(s.tier is ScaleTier.SMOKE for s in scenarios)
+class TestGridOverPolicyConfig:
+    def test_policy_axis_over_a_policy_config_base_is_rejected(self):
+        """A policy axis must not silently run the base's config in every cell."""
 
-    def test_matrix_cells_drop_base_policy_config_and_label(self):
         base = Scenario.create(
-            "llama3-70b",
-            PolicyConfig(throttle=ThrottleKind.DYNMG),
-            tier=ScaleTier.SMOKE,
-            label="base-label",
+            "llama3-70b", PolicyConfig(throttle=ThrottleKind.DYNMG), tier=ScaleTier.SMOKE
         )
-        scenarios = scenario_matrix(("llama3-70b",), ("unopt", "lcs"), base=base)
-        by_policy = {s.policy: s for s in scenarios}
-        assert by_policy["unopt"].resolve().policy.throttle == ThrottleKind.NONE
-        assert by_policy["lcs"].resolve().policy.throttle == ThrottleKind.LCS
-        assert all(s.label is None for s in scenarios)
+        grid = Grid(base, (("policy", ("unopt", "lcs")),))
+        with pytest.raises(ConfigError, match="policy_config"):
+            grid.scenarios()

@@ -181,7 +181,7 @@ class TestExtensibility:
     """A workload registered via the decorator is usable everywhere at once."""
 
     def test_registered_workload_reaches_every_layer(self, capsys):
-        from repro.api import Scenario, Simulation
+        from repro.api import Scenario
         from repro.cli import main
         from repro.sweep.spec import Grid
 
@@ -197,9 +197,9 @@ class TestExtensibility:
             ).validate()
             (point,) = grid.expand()
             assert point.workload.shape.seq_len == 64
-            # ...the facade builder resolves it...
-            scenario = Simulation.builder().workload("test-tiny", seq_len=64).build()
-            assert isinstance(scenario, Scenario)
+            # ...a Scenario resolves it...
+            scenario = Scenario(workload="test-tiny", seq_len=64).validate()
+            assert scenario.resolve().workload.shape.seq_len == 64
             # ...and the CLI lists it, with zero edits anywhere.
             assert main(["list", "workloads"]) == 0
             assert "test-tiny" in capsys.readouterr().out

@@ -1,8 +1,8 @@
 """Property tests of the codec the knob declarations derive.
 
 The SER001 lint rule only sees literal ``to_dict`` keys, so it cannot check a
-field-driven codec.  These properties do, for every declared field of both
-serving scenarios: strategies come from the field annotations, so a new knob
+field-driven codec.  These properties do, for every declared field of the
+kernel ``Scenario`` and both serving scenarios: strategies come from the field annotations, so a new knob
 is fuzzed as soon as it is declared (a new annotation type fails loudly here
 until it gets a strategy).
 """
@@ -18,14 +18,38 @@ hypothesis = pytest.importorskip("hypothesis", reason="property tests need hypot
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.api import Scenario  # noqa: E402
 from repro.cluster.scenario import ClusterScenario  # noqa: E402
+from repro.config.policies import (  # noqa: E402
+    ArbitrationKind,
+    MshrAwareParams,
+    MultiGearParams,
+    PolicyConfig,
+    ThrottleKind,
+)
 from repro.config.scale import ScaleTier  # noqa: E402
+from repro.dataflow.constraints import DataflowConstraints  # noqa: E402
+from repro.dataflow.ordering import ThreadBlockOrdering  # noqa: E402
 from repro.serve.scenario import ServeScenario  # noqa: E402
 
 NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-+", min_size=1, max_size=12)
 INTS = st.integers(min_value=1, max_value=1 << 20)
 FLOATS = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 PAIRS = st.lists(st.tuples(NAMES, INTS), max_size=3).map(tuple)
+CONSTRAINTS = st.builds(
+    DataflowConstraints,
+    vector_axis=st.sampled_from(("d", "l")),
+    min_inner_bytes=INTS,
+    output_lines_per_block=st.integers(1, 4),
+    line_size=st.sampled_from((32, 64, 128)),
+)
+POLICY_CONFIGS = st.builds(
+    PolicyConfig,
+    arbitration=st.sampled_from(ArbitrationKind),
+    throttle=st.sampled_from(ThrottleKind),
+    multigear=st.builds(MultiGearParams, sampling_period=INTS),
+    mshr_aware=st.builds(MshrAwareParams, hit_buffer_size=INTS, sent_reqs_size=INTS),
+)
 
 #: One strategy per field annotation (string annotations: the modules use
 #: ``from __future__ import annotations``).
@@ -42,6 +66,9 @@ BY_TYPE = {
     "float | None": st.none() | FLOATS,
     "str | None": st.none() | NAMES,
     "int | str | None": st.none() | INTS | st.just("system"),
+    "ThreadBlockOrdering": st.sampled_from(ThreadBlockOrdering),
+    "DataflowConstraints | None": st.none() | CONSTRAINTS,
+    "PolicyConfig | None": st.none() | POLICY_CONFIGS,
 }
 
 #: Values the codec canonicalizes must be drawn in canonical form.
@@ -83,3 +110,16 @@ def test_codec_round_trips_and_keys_ignore_labels(cls, data):
         switch = f.metadata["knob"].omit_unless
         if switch is not None:
             assert (f.name in encoded) == (getattr(scenario, switch) is not None), f.name
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_kernel_codec_round_trips(data):
+    """The kernel Scenario's codec, through JSON too.  Its key resolves registry
+    names, which drawn names are not, so keys are covered by the golden tests."""
+
+    scenario = data.draw(scenarios(Scenario))
+    encoded = scenario.to_dict()
+    assert list(encoded) == [f.name for f in fields(Scenario)]
+    assert Scenario.from_dict(encoded) == scenario
+    assert Scenario.from_dict(json.loads(json.dumps(encoded))) == scenario

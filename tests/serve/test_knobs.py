@@ -1,4 +1,4 @@
-"""The serving-knob declarations: one per field, and the range checks they drive."""
+"""The scenario-knob declarations: one per field, and the range checks they drive."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.api import Scenario
 from repro.cluster.scenario import ClusterScenario
 from repro.common.errors import ConfigError
 from repro.config.scale import ScaleTier
@@ -15,18 +16,17 @@ from repro.serve.metrics import ServeSLO
 from repro.serve.scenario import ServeScenario, ServingScenario
 
 SCENARIOS = (ServeScenario, ClusterScenario)
-DECLARING = (ServingScenario, *SCENARIOS)
 
 
 def _base(cls):
     return cls(workload="llama3-70b", tier=ScaleTier.SMOKE)
 
 
-@pytest.mark.parametrize("cls", SCENARIOS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", (*SCENARIOS, Scenario), ids=lambda c: c.__name__)
 def test_every_field_is_declared_exactly_once(cls):
     for f in fields(cls):
         assert "knob" in f.metadata, f"{cls.__name__}.{f.name} has no knob() declaration"
-        owners = [c.__name__ for c in DECLARING if f.name in vars(c).get("__annotations__", {})]
+        owners = [c.__name__ for c in cls.__mro__ if f.name in vars(c).get("__annotations__", {})]
         assert len(owners) == 1, f"{f.name} is declared in {owners}"
 
 
@@ -69,6 +69,8 @@ def test_non_finite_float_rejected_naming_the_field(cls, name, value):
         (ServeScenario, "telemetry_ms", 0.0, "telemetry_ms must be positive"),
         (ClusterScenario, "replicas", 0, "replicas must be positive"),
         (ClusterScenario, "kv_transfer_ms", -0.5, "kv_transfer_ms must be non-negative"),
+        (Scenario, "seq_len", 0, "seq_len must be positive, got 0"),
+        (Scenario, "l2_mib", -1, "l2_mib must be positive, got -1"),
     ],
 )
 def test_declared_ranges_are_checked(cls, name, value, match):
@@ -80,6 +82,10 @@ def test_declared_ranges_are_checked(cls, name, value, match):
 def test_zero_non_negative_and_none_optional_values_pass(cls):
     knobs = {"kv_swap_ms": 0.0, "slo_ttft_ms": None, "telemetry_ms": None}
     replace(_base(cls), **knobs).validate()
+
+
+def test_kernel_none_optional_values_pass():
+    replace(_base(Scenario), seq_len=None, l2_mib=None, max_cycles=None).validate()
 
 
 @pytest.mark.parametrize("name", ["ttft_ms", "latency_ms"])

@@ -13,9 +13,14 @@ from repro.sweep.spec import (
     Grid,
     SweepPoint,
     fig9_spec,
-    sweep_point,
     workload_for,
 )
+
+
+def kernel_point(model: str, seq_len: int, policy: str, label: str | None = None, **kwargs):
+    """One kernel sweep point, resolved through its Scenario."""
+
+    return Scenario.create(model, policy, seq_len=seq_len, **kwargs).to_point(label=label)
 
 
 def kernel_grid(tier=ScaleTier.SMOKE, **axes) -> Grid:
@@ -104,24 +109,24 @@ class TestGridExpansion:
 
 class TestContentHash:
     def test_key_ignores_label_and_coords(self):
-        a = sweep_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI, label="reference")
-        b = sweep_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI, label="unoptimized")
+        a = kernel_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI, label="reference")
+        b = kernel_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI, label="unoptimized")
         assert a.label != b.label
         assert a.key() == b.key()
 
     def test_key_changes_with_policy(self):
-        a = sweep_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI)
-        b = sweep_point("llama3-70b", 2048, "dynmg", tier=ScaleTier.CI)
+        a = kernel_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI)
+        b = kernel_point("llama3-70b", 2048, "dynmg", tier=ScaleTier.CI)
         assert a.key() != b.key()
 
     def test_key_changes_with_l2_capacity(self):
-        a = sweep_point("llama3-70b", 2048, "unopt", l2_mib=16, tier=ScaleTier.SMOKE)
-        b = sweep_point("llama3-70b", 2048, "unopt", l2_mib=32, tier=ScaleTier.SMOKE)
+        a = kernel_point("llama3-70b", 2048, "unopt", l2_mib=16, tier=ScaleTier.SMOKE)
+        b = kernel_point("llama3-70b", 2048, "unopt", l2_mib=32, tier=ScaleTier.SMOKE)
         assert a.key() != b.key()
 
     def test_key_changes_with_max_cycles(self):
-        a = sweep_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI)
-        b = sweep_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI, max_cycles=10_000)
+        a = kernel_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI)
+        b = kernel_point("llama3-70b", 2048, "unopt", tier=ScaleTier.CI, max_cycles=10_000)
         assert a.key() != b.key()
 
     def test_key_stable_for_equal_points(self, tiny_system, tiny_workload):
@@ -143,13 +148,13 @@ class TestContentHash:
 
 class TestPointHelpers:
     def test_coord_lookup(self):
-        point = sweep_point("llama3-70b", 2048, "dynmg", l2_mib=16, tier=ScaleTier.CI)
+        point = kernel_point("llama3-70b", 2048, "dynmg", l2_mib=16, tier=ScaleTier.CI)
         assert point.coord("model") == "llama3-70b"
         assert point.coord("l2_mib") == 16
         assert point.coord("missing", "fallback") == "fallback"
 
     def test_describe_mentions_workload_and_policy(self):
-        point = sweep_point("llama3-70b", 2048, "dynmg+BMA", tier=ScaleTier.CI)
+        point = kernel_point("llama3-70b", 2048, "dynmg+BMA", tier=ScaleTier.CI)
         text = point.describe()
         assert "llama3-70b" in text
         assert "dynmg+BMA" in text

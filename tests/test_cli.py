@@ -23,7 +23,7 @@ class TestParser:
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
-        assert args.model == "llama3-70b"
+        assert args.workload == "llama3-70b"
         assert args.policy == "dynmg+BMA"
 
     def test_unknown_model_rejected(self):
@@ -47,7 +47,7 @@ class TestParser:
              "--policy", "unopt", "--l2-mib", "16", "--jobs", "4"]
         )
         assert args.workload == ["llama3-70b"]
-        assert args.seq_lens == [1024, 2048]
+        assert args.seq_len == [1024, 2048]
         assert args.l2_mib == [16]
         assert args.jobs == 4
 
