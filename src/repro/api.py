@@ -167,7 +167,7 @@ class Scenario:
             # which would otherwise run the base config in every cell.
             raise ConfigError(
                 f"policy {self.policy!r} is not the label of policy_config "
-                f"({self.policy_config.label!r}); set both or neither"
+                f"({self.policy_config.label!r}); build it with Scenario.create"
             )
         self.resolve()  # raises ConfigError on unknown names
         return self

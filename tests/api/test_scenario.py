@@ -63,11 +63,6 @@ class TestScenarioResolution:
         with pytest.raises(ConfigError, match="unknown thread-block ordering"):
             Scenario.from_dict({"workload": "llama3-70b", "ordering": "bogus"})
 
-    def test_policy_must_label_policy_config(self):
-        custom = PolicyConfig(throttle=ThrottleKind.DYNMG)
-        with pytest.raises(ConfigError, match="policy_config"):
-            Scenario(workload="llama3-70b", policy="lcs", policy_config=custom).validate()
-
     def test_requested_seq_len_uses_builder_default(self):
         assert Scenario(workload="llama3-70b").requested_seq_len == 8192
         assert Scenario(workload="llama3-70b", seq_len=128).requested_seq_len == 128
