@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, NamedTuple
 
-from repro.cluster.scenario import ClusterScenario, run_cluster_scenario
+from repro.cluster.scenario import ClusterScenario
 from repro.common.errors import ConfigError
 from repro.config.policies import PolicyConfig
 from repro.config.presets import FIG9_L2_MIB, FIG9_SEQ_LEN
@@ -60,7 +60,7 @@ from repro.serve.knobs import (
     knob,
     optional_config,
 )
-from repro.serve.scenario import ServeScenario, run_serve_scenario
+from repro.serve.scenario import ServeScenario
 from repro.sim.results import SimResult
 from repro.sim.runner import PolicyComparison, compare_policies, run_policy
 from repro.sweep.spec import FIG9_POLICY_LABELS, SweepPoint, resolved_point
@@ -302,6 +302,4 @@ __all__ = [
     "Scenario",
     "ServeScenario",
     "parse_ordering",
-    "run_cluster_scenario",
-    "run_serve_scenario",
 ]

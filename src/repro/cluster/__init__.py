@@ -48,11 +48,7 @@ from repro.cluster.router import (
     Router,
     WeightedRouter,
 )
-from repro.cluster.scenario import (
-    ClusterScenario,
-    parse_disaggregated,
-    run_cluster_scenario,
-)
+from repro.cluster.scenario import ClusterScenario, parse_disaggregated
 from repro.cluster.simulator import ClusterSimulator, ReplicaSim
 
 __all__ = [
@@ -67,5 +63,4 @@ __all__ = [
     "Router",
     "WeightedRouter",
     "parse_disaggregated",
-    "run_cluster_scenario",
 ]

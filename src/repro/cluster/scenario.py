@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.simulator import ClusterSimulator, ReplicaSim
 from repro.common.errors import ConfigError
 from repro.config.scale import scale_system
@@ -242,9 +241,3 @@ class ClusterScenario(ServingScenario):
             decode_router=decode_router,
             telemetry_ms=self.telemetry_ms,
         )
-
-
-def run_cluster_scenario(scenario: ClusterScenario) -> ClusterMetrics:
-    """Module-level convenience: resolve and simulate one cluster scenario."""
-
-    return scenario.run()

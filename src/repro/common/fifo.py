@@ -2,7 +2,7 @@
 
 The request queue, response queue, ``hit_buffer`` and ``sent_reqs`` structures
 of the paper are all bounded FIFOs; modelling them with one class keeps
-capacity accounting and occupancy statistics uniform.
+capacity accounting uniform.  The FIFO keeps no occupancy statistics.
 """
 
 from __future__ import annotations
@@ -18,17 +18,18 @@ class BoundedFifo(Generic[T]):
 
     ``push`` returns ``False`` instead of raising when the queue is full so
     hardware back-pressure can be modelled without exceptions in the hot path.
+    The per-cycle LLC pipeline works on :attr:`items` directly and checks
+    :attr:`capacity` itself before appending.
     """
 
-    __slots__ = ("_capacity", "_items", "peak_occupancy", "total_pushes")
+    __slots__ = ("_capacity", "items")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"FIFO capacity must be positive, got {capacity}")
         self._capacity = int(capacity)
-        self._items: deque[T] = deque()
-        self.peak_occupancy = 0
-        self.total_pushes = 0
+        #: The queued elements, oldest first.
+        self.items: deque[T] = deque()
 
     # -- capacity -----------------------------------------------------------------
     @property
@@ -36,39 +37,37 @@ class BoundedFifo(Generic[T]):
         return self._capacity
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self.items)
 
     @property
     def full(self) -> bool:
-        return len(self._items) >= self._capacity
+        return len(self.items) >= self._capacity
 
     @property
     def empty(self) -> bool:
-        return not self._items
+        return not self.items
 
     @property
     def free_slots(self) -> int:
-        return self._capacity - len(self._items)
+        return self._capacity - len(self.items)
 
     # -- mutation -----------------------------------------------------------------
     def push(self, item: T) -> bool:
         """Append ``item``; returns ``False`` (and drops nothing) when full."""
 
-        if self.full:
+        items = self.items
+        if len(items) >= self._capacity:
             return False
-        self._items.append(item)
-        self.total_pushes += 1
-        if len(self._items) > self.peak_occupancy:
-            self.peak_occupancy = len(self._items)
+        items.append(item)
         return True
 
     def pop(self) -> T:
         """Remove and return the oldest element."""
 
-        return self._items.popleft()
+        return self.items.popleft()
 
     def pop_index(self, index: int) -> T:
         """Remove and return the element at ``index`` (0 = oldest).
@@ -79,7 +78,7 @@ class BoundedFifo(Generic[T]):
         the paper's configuration.
         """
 
-        items = self._items
+        items = self.items
         if index < 0 or index >= len(items):
             raise IndexError(f"pop_index({index}) on FIFO of length {len(items)}")
         if index == 0:
@@ -90,10 +89,10 @@ class BoundedFifo(Generic[T]):
         return item
 
     def peek(self, index: int = 0) -> T:
-        return self._items[index]
+        return self.items[index]
 
     def clear(self) -> None:
-        self._items.clear()
+        self.items.clear()
 
     def extend(self, items: Iterable[T]) -> int:
         """Push items until the queue fills; returns how many were accepted."""
@@ -107,15 +106,15 @@ class BoundedFifo(Generic[T]):
 
     # -- inspection ---------------------------------------------------------------
     def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
+        return iter(self.items)
 
     def find(self, predicate: Callable[[T], bool]) -> Optional[int]:
         """Return the index of the first element satisfying ``predicate``."""
 
-        for i, item in enumerate(self._items):
+        for i, item in enumerate(self.items):
             if predicate(item):
                 return i
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BoundedFifo({list(self._items)!r}, capacity={self._capacity})"
+        return f"BoundedFifo({list(self.items)!r}, capacity={self._capacity})"

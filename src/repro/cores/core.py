@@ -33,6 +33,11 @@ from repro.cores.window import InstructionWindow
 
 RequestSink = Callable[[MemRequest, int], bool]
 
+# Module-level copies: reading a member off the enum class costs far more than
+# a global lookup, and these compares run on every issue and response.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
 
 class VectorCore:
     """One vector core with instruction windows and a private L1."""
@@ -124,7 +129,7 @@ class VectorCore:
                 ):
                     self.wake()
                 window.outstanding = outstanding - 1
-        if resp.rw == AccessType.READ:
+        if resp.rw == _READ:
             shift = self._l1_line_shift
             self.l1.fill((resp.line_addr >> shift) << shift)
 
@@ -280,14 +285,14 @@ class VectorCore:
         if window.outstanding >= window.depth:
             return "memory"
 
-        if entry.rw == AccessType.READ and self.l1.access_read(entry.addr):
+        if entry.rw == _READ and self.l1.access_read(entry.addr):
             # L1 hit: completes locally within the cycle (latency 1 absorbed).
             self.stat_l1_hits += 1
             window.cursor += 1
             window.compute_charged = False
             return "issued"
 
-        if entry.rw == AccessType.WRITE:
+        if entry.rw == _WRITE:
             self.l1.access_write(entry.addr)
 
         # Positional: addr, rw, core_id, tb_id, kind, size, req_id, issue_cycle.

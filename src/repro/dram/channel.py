@@ -36,6 +36,9 @@ class DramChannel:
 
     queue: list[DramTransaction] = field(default_factory=list)
     banks: BankArray = field(init=False)
+    #: Overlapping accesses needed to hide the worst-case latency; fixed,
+    #: since ``timing`` is frozen.
+    pipeline_depth: int = field(init=False)
     bus_free_cycle: int = 0
     #: min-heap of (complete_cycle, sequence, transaction) for in-flight accesses.
     in_flight: list[tuple[int, int, DramTransaction]] = field(default_factory=list)
@@ -53,6 +56,8 @@ class DramChannel:
 
     def __post_init__(self) -> None:
         self.banks = BankArray(num_ranks=self.num_ranks, num_banks=self.num_banks)
+        timing = self.timing
+        self.pipeline_depth = max(4, -(-timing.row_conflict_latency // timing.tBURST) + 1)
 
     # -- queue management ---------------------------------------------------------
     @property
@@ -95,17 +100,11 @@ class DramChannel:
         # so that column/activate latencies fully overlap with earlier data
         # bursts (keeping the data bus at peak utilisation) while still leaving
         # most of the backlog in the queue where FR-FCFS can reorder it.
-        if self.queue and len(self.in_flight) < self._pipeline_depth():
+        if self.queue and len(self.in_flight) < self.pipeline_depth:
             idx = self._pick_fr_fcfs(cycle)
             txn = self.queue.pop(idx)
             self._issue(txn, cycle)
         return completed
-
-    def _pipeline_depth(self) -> int:
-        """Number of overlapping accesses needed to hide the worst-case latency."""
-
-        timing = self.timing
-        return max(4, -(-timing.row_conflict_latency // timing.tBURST) + 1)
 
     def _issue(self, txn: DramTransaction, cycle: int) -> None:
         timing = self.timing

@@ -32,7 +32,7 @@ from typing import Callable
 from repro.arbiter.base import BaseArbiter
 from repro.common.address import AddressMap
 from repro.common.fifo import BoundedFifo
-from repro.common.types import MemRequest, MemResponse
+from repro.common.types import AccessType, MemRequest, MemResponse
 from repro.config.system import L2Config, ReqRespArbitration
 from repro.llc.mshr import MshrFile
 from repro.llc.storage import CacheStorage
@@ -40,6 +40,9 @@ from repro.llc.storage import CacheStorage
 #: Maximum lookups in flight between tag probe and MSHR action; this bounds how
 #: far the request path can run ahead of a stalled MSHR stage.
 _PIPELINE_DEPTH_SLACK = 2
+
+#: Module-level copy: cheaper to read than the enum class attribute.
+_WRITE = AccessType.WRITE
 
 ResponseSink = Callable[[MemResponse, int, int], None]
 DramSink = Callable[[int, bool, int], bool]
@@ -78,9 +81,15 @@ class LLCSlice:
         self._mshr_stage: deque[tuple[int, MemRequest]] = deque()
         self._pending_fills: deque[tuple[int, bool]] = deque()
         self._dram_backlog: deque[tuple[int, bool]] = deque()   # (line_addr, is_write)
-        self._mshr_pipeline_limit = (
-            config.hit_latency + config.mshr_latency + _PIPELINE_DEPTH_SLACK
+        self._request_capacity = self.request_queue.capacity
+        self._response_capacity = self.response_queue.capacity
+        self._line_size = config.line_size
+        self._response_first = (
+            config.req_resp_arbitration == ReqRespArbitration.RESPONSE_FIRST
         )
+        self._hit_response_latency = config.hit_latency + config.data_latency
+        self._miss_pipeline_latency = config.hit_latency + config.mshr_latency
+        self._mshr_pipeline_limit = self._miss_pipeline_latency + _PIPELINE_DEPTH_SLACK
         self.stalled = False
         #: Set after a tick whose only effect was a failed MSHR reservation with
         #: no response, pending fill or DRAM backlog to serve: until
@@ -108,15 +117,22 @@ class LLCSlice:
     # external interfaces
     # ------------------------------------------------------------------------------
     def accept_request(self, req: MemRequest, cycle: int) -> bool:
-        """NoC sink: push a request into the request queue (False when full)."""
+        """NoC sink: push a request into the request queue (False when full).
 
-        req.aligned(self.config.line_size)
+        A rejected request stays staged in the NoC untouched; ``line_addr``
+        and ``arrive_cycle`` are stamped by the call that accepts it.
+        """
+
+        requests = self.request_queue.items
+        if len(requests) >= self._request_capacity:
+            self.requests_rejected += 1
+            return False
+        addr = req.addr
+        req.line_addr = addr - addr % self._line_size
         req.arrive_cycle = cycle
-        if self.request_queue.push(req):
-            self.requests_accepted += 1
-            return True
-        self.requests_rejected += 1
-        return False
+        requests.append(req)
+        self.requests_accepted += 1
+        return True
 
     def on_dram_fill(self, line_addr: int, cycle: int) -> None:
         """A DRAM read for ``line_addr`` returned (Fig 4, steps 4 and 4')."""
@@ -125,7 +141,7 @@ class LLCSlice:
         entry = self.mshr.free(line_addr, cycle)
         dirty = False
         for target in entry.targets:
-            if target.is_write:
+            if target.rw == _WRITE:
                 dirty = True
             self.response_sink(
                 MemResponse(
@@ -149,148 +165,122 @@ class LLCSlice:
     # per-cycle pipeline
     # ------------------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        if not self._has_cycle_work():
+        """One cycle of Fig 4: DRAM backlog and pending fills, the MSHR action,
+        then the storage port's fill or request lookup.
+
+        This runs for every slice on every cycle, so the numbered stages are
+        written out over local variables rather than split into helpers.
+        """
+
+        request_queue = self.request_queue
+        requests = request_queue.items
+        responses = self.response_queue.items
+        mshr_stage = self._mshr_stage
+        pending_fills = self._pending_fills
+        backlog = self._dram_backlog
+        stalled = self.stalled
+        if not (requests or responses or mshr_stage or pending_fills or backlog or stalled):
             return
         self.busy_cycles += 1
 
-        self._drain_dram_backlog(cycle)
-        self._drain_pending_fills()
-
-        # MSHR action stage runs independently of the storage port.
-        self._mshr_action(cycle)
-
-        serve_response = self._arbitrate_port()
-        if serve_response:
-            self._process_fill(cycle)
-        elif not self.stalled:
-            self._process_request(cycle)
-        elif not (self.response_queue or self._pending_fills or self._dram_backlog):
-            self.parked = True
-
-    def _has_cycle_work(self) -> bool:
-        return bool(
-            self.request_queue
-            or self.response_queue
-            or self._mshr_stage
-            or self._pending_fills
-            or self._dram_backlog
-            or self.stalled
-        )
-
-    # -- stage helpers ------------------------------------------------------------------
-    def _arbitrate_port(self) -> bool:
-        """Decide whether the storage port serves a response fill this cycle."""
-
-        has_response = bool(self.response_queue)
-        has_request = bool(self.request_queue) and not self.stalled
-        if not has_response:
-            return False
-        override = self.arbiter.arbitrate_port(
-            len(self.response_queue), self.response_queue.capacity, len(self.request_queue)
-        )
-        if override is not None:
-            return override and has_response
-        if self.config.req_resp_arbitration == ReqRespArbitration.RESPONSE_FIRST:
-            return True
-        # REQUEST_FIRST: responses only get the port when the response queue is
-        # full or there is no request to serve.
-        return self.response_queue.full or not has_request
-
-    def _process_request(self, cycle: int) -> None:
-        if not self.request_queue:
-            return
-        if len(self._mshr_stage) >= self._mshr_pipeline_limit:
-            # The miss pipeline is backed up; lookups cannot proceed.
-            return
-        index = self.arbiter.select(
-            self.request_queue, self.mshr.pending_lines(), cycle
-        )
-        req = self.request_queue.pop_index(index)
-        self.arbiter.notify_selected(req, cycle)
-        self.last_activity_cycle = cycle
-
-        hit = self.storage.lookup(req.line_addr)
-        if hit:
-            self.hits += 1
-            self.arbiter.notify_hit(req.line_addr, cycle)
-            if req.is_write:
-                self.storage.mark_dirty(req.line_addr)
-            latency = self.config.hit_latency + self.config.data_latency
-            self.response_sink(
-                MemResponse(
-                    req_id=req.req_id,
-                    core_id=req.core_id,
-                    tb_id=req.tb_id,
-                    line_addr=req.line_addr,
-                    rw=req.rw,
-                    complete_cycle=cycle + latency,
-                    served_by="l2",
-                ),
-                cycle,
-                latency,
-            )
-        else:
-            self.misses += 1
-            due = cycle + self.config.hit_latency + self.config.mshr_latency
-            self._mshr_stage.append((due, req))
-
-    def _mshr_action(self, cycle: int) -> None:
-        if not self._mshr_stage:
-            if self.stalled:
-                self.stalled = False
-            return
-        due, req = self._mshr_stage[0]
-        if due > cycle and not self.stalled:
-            return
-        outcome = self.mshr.reserve(req, cycle)
-        if outcome == "stall":
-            self.stalled = True
-            self.stall_cycles += 1
-            return
-        self._mshr_stage.popleft()
-        self.stalled = False
-        self.last_activity_cycle = cycle
-        if outcome == "merged":
-            self.mshr_merges += 1
-        else:
-            self.mshr_allocations += 1
-            self._send_dram(req.line_addr, is_write=False, cycle=cycle)
-
-    def _process_fill(self, cycle: int) -> None:
-        if not self.response_queue:
-            return
-        line_addr, dirty = self.response_queue.pop()
-        self.fills_written += 1
-        self.last_activity_cycle = cycle
-        victim = self.storage.fill(line_addr, dirty)
-        if victim is not None and victim.dirty:
-            self.writebacks += 1
-            self._send_dram(victim.line_addr, is_write=True, cycle=cycle)
-
-    # -- DRAM traffic helpers ---------------------------------------------------------------
-    def _send_dram(self, line_addr: int, is_write: bool, cycle: int) -> None:
-        if self._dram_backlog or not self.dram_sink(line_addr, is_write, self.slice_id):
-            self._dram_backlog.append((line_addr, is_write))
-        else:
-            self._count_dram(is_write)
-
-    def _drain_dram_backlog(self, cycle: int) -> None:
-        while self._dram_backlog:
-            line_addr, is_write = self._dram_backlog[0]
+        # 1. DRAM backlog and pending fills.
+        while backlog:
+            line_addr, is_write = backlog[0]
             if not self.dram_sink(line_addr, is_write, self.slice_id):
                 break
-            self._dram_backlog.popleft()
-            self._count_dram(is_write)
+            backlog.popleft()
+            if is_write:
+                self.dram_writes_issued += 1
+            else:
+                self.dram_reads_issued += 1
+        response_capacity = self._response_capacity
+        while pending_fills and len(responses) < response_capacity:
+            responses.append(pending_fills.popleft())
 
-    def _count_dram(self, is_write: bool) -> None:
-        if is_write:
+        # 2. MSHR action.
+        if mshr_stage:
+            due, req = mshr_stage[0]
+            if due <= cycle or stalled:
+                outcome = self.mshr.reserve(req, cycle)
+                if outcome == "stall":
+                    stalled = True
+                    self.stall_cycles += 1
+                else:
+                    mshr_stage.popleft()
+                    stalled = False
+                    self.last_activity_cycle = cycle
+                    if outcome == "merged":
+                        self.mshr_merges += 1
+                    else:
+                        self.mshr_allocations += 1
+                        self._send_dram(req.line_addr, False)
+        else:
+            stalled = False
+        self.stalled = stalled
+
+        # 3. Storage-port arbitration: a response fill or a request lookup.
+        serve_response = False
+        if responses:
+            override = self.arbiter.arbitrate_port(
+                len(responses), response_capacity, len(requests)
+            )
+            if override is not None:
+                serve_response = override
+            elif self._response_first:
+                serve_response = True
+            else:
+                # REQUEST_FIRST: responses only get the port when the response
+                # queue is full or there is no request to serve.
+                serve_response = len(responses) >= response_capacity or not requests or stalled
+
+        # 4. The port's winner.
+        if serve_response:
+            line_addr, dirty = responses.popleft()
+            self.fills_written += 1
+            self.last_activity_cycle = cycle
+            victim = self.storage.fill(line_addr, dirty)
+            if victim is not None and victim.dirty:
+                self.writebacks += 1
+                self._send_dram(victim.line_addr, True)
+        elif stalled:
+            if not (responses or pending_fills or backlog):
+                self.parked = True
+        elif requests and len(mshr_stage) < self._mshr_pipeline_limit:
+            # A lookup, unless the miss pipeline is backed up.
+            arbiter = self.arbiter
+            index = arbiter.select(request_queue, self.mshr.pending_lines(), cycle)
+            req = requests.popleft() if index == 0 else request_queue.pop_index(index)
+            arbiter.notify_selected(req, cycle)
+            self.last_activity_cycle = cycle
+            line_addr = req.line_addr
+            if self.storage.lookup(line_addr):
+                self.hits += 1
+                arbiter.notify_hit(line_addr, cycle)
+                if req.rw == _WRITE:
+                    self.storage.mark_dirty(line_addr)
+                latency = self._hit_response_latency
+                self.response_sink(
+                    MemResponse(
+                        req.req_id, req.core_id, req.tb_id, line_addr, req.rw,
+                        cycle + latency, "l2",
+                    ),
+                    cycle,
+                    latency,
+                )
+            else:
+                self.misses += 1
+                mshr_stage.append((cycle + self._miss_pipeline_latency, req))
+
+    # -- DRAM traffic -------------------------------------------------------------------------
+    def _send_dram(self, line_addr: int, is_write: bool) -> None:
+        """Issue a DRAM access, or queue it behind the backlog (kept in order)."""
+
+        if self._dram_backlog or not self.dram_sink(line_addr, is_write, self.slice_id):
+            self._dram_backlog.append((line_addr, is_write))
+        elif is_write:
             self.dram_writes_issued += 1
         else:
             self.dram_reads_issued += 1
-
-    def _drain_pending_fills(self) -> None:
-        while self._pending_fills and not self.response_queue.full:
-            self.response_queue.push(self._pending_fills.popleft())
 
     # ------------------------------------------------------------------------------
     # inspection

@@ -56,15 +56,20 @@ class CacheStorage:
     def _set_for(self, line_addr: int) -> OrderedDict[int, bool]:
         index = self._index_fn(line_addr)
         if not 0 <= index < self.num_sets:
-            raise ConfigError(
-                f"index function returned {index}, outside [0, {self.num_sets})"
-            )
+            raise self._range_error(index)
         return self._sets[index]
+
+    def _range_error(self, index: int) -> ConfigError:
+        return ConfigError(f"index function returned {index}, outside [0, {self.num_sets})")
 
     def lookup(self, line_addr: int, update_lru: bool = True) -> bool:
         """True when ``line_addr`` is present; optionally refresh its recency."""
 
-        cache_set = self._set_for(line_addr)
+        # ``_set_for`` inlined: every L1 probe and LLC lookup comes through here.
+        index = self._index_fn(line_addr)
+        if not 0 <= index < self.num_sets:
+            raise self._range_error(index)
+        cache_set = self._sets[index]
         if line_addr not in cache_set:
             return False
         if update_lru:
@@ -82,7 +87,10 @@ class CacheStorage:
     def fill(self, line_addr: int, dirty: bool = False) -> EvictedLine | None:
         """Install a line (allocate-on-fill); return the victim if one was evicted."""
 
-        cache_set = self._set_for(line_addr)
+        index = self._index_fn(line_addr)  # ``_set_for`` inlined, as in ``lookup``
+        if not 0 <= index < self.num_sets:
+            raise self._range_error(index)
+        cache_set = self._sets[index]
         victim: EvictedLine | None = None
         if line_addr in cache_set:
             # Refill of a present line: merge dirtiness, refresh recency.

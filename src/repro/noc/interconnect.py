@@ -15,6 +15,13 @@ and nudges them at that moment (see ``VectorCore.nudge``).  A nudge is not a
 wake: a lower-id core can refill the slice before a nudged core's turn in the
 same cycle, so the system loop asks :meth:`Interconnect.admits_any` at that
 turn and ticks the core only if a nudging slice still has room.
+
+Every request takes the same latency and the clock never goes back, so
+requests reach their staging queues in the order they were sent: a plain FIFO
+carries them, and :meth:`Interconnect.send_request` raises
+:class:`~repro.common.errors.SimulationError` for a cycle earlier than the
+last accepted send.  Responses can carry an extra delay, so they travel in a
+heap ordered by (delivery cycle, send order).
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from collections import deque
 from typing import Callable
 
 from repro.common.address import AddressMap
+from repro.common.errors import SimulationError
 from repro.common.types import MemRequest, MemResponse
 from repro.config.system import NoCConfig
 
@@ -49,8 +57,12 @@ class Interconnect:
         self.num_cores = num_cores
         self.num_slices = num_slices
 
-        self._req_in_flight: list[tuple[int, int, int, MemRequest]] = []  # (cycle, seq, slice, req)
+        self._req_in_flight: deque[tuple[int, int, MemRequest]] = deque()  # (cycle, slice, req)
         self._resp_in_flight: list[tuple[int, int, MemResponse]] = []     # (cycle, seq, resp)
+        self._request_latency = config.request_latency
+        self._port_width = config.slice_port_width
+        #: Cycle of the last accepted request; requests must not go back in time.
+        self._last_send_cycle = 0
         self._staging: list[deque[MemRequest]] = [deque() for _ in range(num_slices)]
         # Requests in transit or staged per slice, used for O(1) back-pressure checks.
         self._slice_load: list[int] = [0] * num_slices
@@ -73,15 +85,18 @@ class Interconnect:
     def send_request(self, req: MemRequest, cycle: int) -> bool:
         """Inject a request; returns False under back-pressure."""
 
+        if cycle < self._last_send_cycle:
+            raise SimulationError(
+                f"request sent at cycle {cycle}, after one at cycle {self._last_send_cycle}"
+            )
         slice_id = self.address_map.slice_of(req.addr)
         if not self.has_room(slice_id):
             self.backpressure_rejects += 1
             self._reject(slice_id, req.core_id)
             return False
-        deliver = cycle + self.config.request_latency
-        heapq.heappush(self._req_in_flight, (deliver, self._seq, slice_id, req))
+        self._last_send_cycle = cycle
+        self._req_in_flight.append((cycle + self._request_latency, slice_id, req))
         self._slice_load[slice_id] += 1
-        self._seq += 1
         self.requests_sent += 1
         return True
 
@@ -137,17 +152,20 @@ class Interconnect:
         """
 
         # Requests whose transit delay elapsed move into the staging queues.
-        while self._req_in_flight and self._req_in_flight[0][0] <= cycle:
-            _, _, slice_id, req = heapq.heappop(self._req_in_flight)
-            self._staging[slice_id].append(req)
+        in_flight = self._req_in_flight
+        all_staging = self._staging
+        while in_flight and in_flight[0][0] <= cycle:
+            _, slice_id, req = in_flight.popleft()
+            all_staging[slice_id].append(req)
 
         # Each slice port accepts a limited number of staged requests per cycle.
-        for slice_id, staging in enumerate(self._staging):
+        port_width = self._port_width
+        for slice_id, staging in enumerate(all_staging):
             if not staging:
                 continue
             accepted = 0
             sink = slice_sinks[slice_id]
-            while staging and accepted < self.config.slice_port_width:
+            while staging and accepted < port_width:
                 req = staging[0]
                 if not sink(req, cycle):
                     break

@@ -41,7 +41,7 @@ from repro.serve.kvcache import (
 )
 from repro.serve.metrics import RequestMetrics, ServeMetrics, ServeSLO
 from repro.serve.request import Request, RequestSampler
-from repro.serve.scenario import ServeScenario, run_serve_scenario
+from repro.serve.scenario import ServeScenario
 from repro.serve.schedpolicy import (
     ChunkedPrefillPolicy,
     DecodeFirstPolicy,
@@ -88,5 +88,4 @@ __all__ = [
     "StepCostModel",
     "StepPlan",
     "bucket_context",
-    "run_serve_scenario",
 ]

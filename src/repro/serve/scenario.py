@@ -44,7 +44,7 @@ from repro.serve.knobs import (
     knob,
 )
 from repro.serve.kvcache import DEFAULT_SWAP_MS, KVCacheConfig
-from repro.serve.metrics import ServeMetrics, ServeSLO
+from repro.serve.metrics import ServeSLO
 from repro.serve.request import (
     DEFAULT_OUTPUT_TOKENS,
     DEFAULT_PROMPT_TOKENS,
@@ -378,9 +378,3 @@ class ServeScenario(ServingScenario):
             workload_name=self.workload,
             telemetry_ms=self.telemetry_ms,
         )
-
-
-def run_serve_scenario(scenario: ServeScenario) -> ServeMetrics:
-    """Module-level convenience: resolve and simulate one serving scenario."""
-
-    return scenario.run()

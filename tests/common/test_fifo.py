@@ -88,15 +88,6 @@ class TestStatsAndSearch:
         fifo = BoundedFifo(3)
         assert fifo.extend(range(10)) == 3
 
-    def test_peak_occupancy_tracks_maximum(self):
-        fifo = BoundedFifo(8)
-        fifo.extend([1, 2, 3, 4])
-        fifo.pop()
-        fifo.pop()
-        fifo.push(5)
-        assert fifo.peak_occupancy == 4
-        assert fifo.total_pushes == 5
-
     def test_find_returns_first_match_index(self):
         fifo = BoundedFifo(8)
         fifo.extend([5, 6, 7, 6])

@@ -204,3 +204,22 @@ class TestReqRespArbitration:
         accepted = sum(h.push(0x7000 + i * 64) for i in range(h.config.req_q_size + 4))
         assert accepted == h.config.req_q_size
         assert h.slice.requests_rejected == 4
+
+    def test_request_is_stamped_by_the_call_that_accepts_it(self):
+        """Every rejected attempt counts; only the accepting call stamps the request."""
+
+        h = SliceHarness()
+        for i in range(h.config.req_q_size):
+            assert h.push(0x7000 + i * 64)
+        late = MemRequest(addr=0x9010, rw=AccessType.READ, core_id=1)
+        for attempt in range(1, 4):
+            assert not h.slice.accept_request(late, h.cycle + attempt)
+            assert h.slice.requests_rejected == attempt
+        assert late.arrive_cycle == 0 and late.line_addr == -1
+        h.run(1)                        # one lookup frees a queue slot
+        accepted_at = h.cycle + 3
+        assert h.slice.accept_request(late, accepted_at)
+        assert h.slice.requests_rejected == 3
+        assert h.slice.requests_accepted == h.config.req_q_size + 1
+        assert late.arrive_cycle == accepted_at
+        assert late.line_addr == 0x9000
