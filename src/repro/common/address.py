@@ -51,9 +51,6 @@ class AddressMap:
         object.__setattr__(self, "_slice_shift", log2_int(self.num_slices))
         object.__setattr__(self, "_slice_mask", self.num_slices - 1)
 
-    def line_of(self, addr: int) -> int:
-        return addr >> self._line_shift
-
     def line_addr(self, addr: int) -> int:
         return (addr >> self._line_shift) << self._line_shift
 

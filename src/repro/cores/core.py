@@ -19,6 +19,10 @@ compute knows when that outcome changes -- its earliest
 frees window depth or drains a block, and a slice draining only *nudges* the
 cores it rejected (:meth:`VectorCore.nudge`): the system loop ticks such a
 core only if that slice still has room at the core's turn.
+
+Within a tick, the scan that retires drained blocks, refills a window and
+lists the running windows runs only after an event that can change its
+outcome (see :attr:`VectorCore.rescan`); otherwise the last list is reused.
 """
 
 from __future__ import annotations
@@ -55,8 +59,14 @@ class VectorCore:
         self.config = config
         self.l1 = l1
         self.request_sink = request_sink
-        self._l1_line_shift = l1.line_shift
         self.scheduler = scheduler
+        self._issue_width = config.issue_width
+        # The L1's geometry, for the probe in ``tick`` and the fill in ``receive``.
+        self._l1_shift = l1.line_shift
+        self._l1_mask = l1.set_mask
+        self._l1_num_sets = l1.storage.num_sets
+        self._l1_ways = l1.storage.associativity
+        self._l1_sets = l1.storage.sets
 
         self.windows = [
             InstructionWindow(window_id=i, depth=config.inst_window_depth)
@@ -68,6 +78,14 @@ class VectorCore:
         self.throttled = False
         self._rr_pointer = 0
         self._req_window: dict[int, int] = {}
+        #: The block scan (retire, refill, running list) runs only while this
+        #: is set.  Raised at construction, by a refill, by a change of
+        #: ``max_running_blocks``, by a response that drains a block and by an
+        #: issue that drains one locally (the last entry an L1 hit or a compute
+        #: bubble, nothing outstanding); a scan that changes nothing lowers it.
+        self.rescan = True
+        #: The running windows the last block scan listed.
+        self._running: list[InstructionWindow] = []
         #: Set after a tick that only charged ``stat_mem_stall_cycles`` (or
         #: ``stat_idle_cycles`` when ``parked_idle``, or ``stat_compute_cycles``
         #: when ``wake_cycle`` is set): until a wake event the next tick would do
@@ -107,6 +125,8 @@ class VectorCore:
         limit = max(1, min(self.config.num_inst_windows, value))
         if limit != self.max_running_blocks:
             self.max_running_blocks = limit
+            # The running list and the refill bound both follow the limit.
+            self.rescan = True
             self.wake()
 
     def adjust_max_running_blocks(self, delta: int) -> None:
@@ -124,14 +144,30 @@ class VectorCore:
                 # Only a freed depth slot or a drained block can change the next
                 # tick; any other response leaves a parked core parked.
                 tb = window.tb
-                if outstanding >= window.depth or (
-                    outstanding == 1 and tb is not None and window.cursor >= len(tb.entries)
-                ):
+                if outstanding == 1 and tb is not None and window.cursor >= len(tb.entries):
+                    self.rescan = True  # the block drained: the next tick retires it
+                    self.wake()
+                elif outstanding >= window.depth:
                     self.wake()
                 window.outstanding = outstanding - 1
         if resp.rw == _READ:
-            shift = self._l1_line_shift
-            self.l1.fill((resp.line_addr >> shift) << shift)
+            # Allocate-on-fill into the L1 (``L1Cache.fill``, written out).
+            shift = self._l1_shift
+            line = resp.line_addr >> shift
+            index = line & self._l1_mask
+            if index >= self._l1_num_sets:
+                raise self.l1.storage.range_error(index)
+            l1_set = self._l1_sets[index]
+            line <<= shift
+            if line in l1_set:
+                l1_set.move_to_end(line)
+            else:
+                storage = self.l1.storage
+                if len(l1_set) >= self._l1_ways:
+                    l1_set.popitem(last=False)
+                    storage.evictions += 1
+                l1_set[line] = False
+                storage.fills += 1
 
     def wake(self) -> None:
         """Unpark: an event may have changed the outcome of the next tick."""
@@ -155,19 +191,55 @@ class VectorCore:
     # per-cycle execution
     # ------------------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        changed = self._retire_and_refill(cycle)
+        """Retire and refill blocks, then issue from the running windows.
 
-        # Select the running windows inline (the first ``max_running_blocks``
-        # windows that hold a thread block); this is the hottest loop of the
-        # whole simulator, so attribute access is kept to a minimum.
-        windows = self.windows
-        limit = self.max_running_blocks
-        running: list[InstructionWindow] = []
-        for window in windows:
-            if window.tb is not None:
-                running.append(window)
-                if len(running) >= limit:
-                    break
+        This is the hottest method of the whole simulator, so the block scan,
+        the per-window issue attempt and the L1 probe are written out over
+        local variables rather than split into helpers.
+        """
+
+        # 1. Retire drained thread blocks (all entries issued, all data back)
+        #    and refill at most one window, then list the running windows: the
+        #    first ``max_running_blocks`` windows that hold a block.  Only the
+        #    events that raise ``rescan`` can change any of it.
+        changed = False
+        if self.rescan:
+            windows = self.windows
+            limit = self.max_running_blocks
+            busy = 0
+            free_window: InstructionWindow | None = None
+            for window in windows:
+                tb = window.tb
+                if tb is None:
+                    if free_window is None:
+                        free_window = window
+                elif window.outstanding == 0 and window.cursor >= len(tb.entries):
+                    self.stat_completed_blocks += 1
+                    self.scheduler.notify_complete(window.release())
+                    changed = True
+                    if free_window is None:
+                        free_window = window
+                else:
+                    busy += 1
+            # The global scheduler hands out one thread block per core per
+            # cycle, striping consecutive blocks across cores the way a GPU CTA
+            # dispatcher does.  Once it runs dry it stays dry.
+            if free_window is not None and busy < limit:
+                block = self.scheduler.next_block(self.core_id)
+                if block is not None:
+                    free_window.assign(block, cycle)
+                    changed = True
+            running: list[InstructionWindow] = []
+            for window in windows:
+                if window.tb is not None:
+                    running.append(window)
+                    if len(running) >= limit:
+                        break
+            self._running = running
+            # A retire or a refill may enable another one next cycle.
+            self.rescan = changed
+        else:
+            running = self._running
         if not running:
             self.stat_idle_cycles += 1
             if not changed:
@@ -175,28 +247,88 @@ class VectorCore:
                 self.parked_idle = True
             return
 
+        # 2. Round-robin issue over the running windows.
         issued = 0
         ready = 0  # earliest compute_ready_cycle of the compute-blocked windows
         n = len(running)
         rr = self._rr_pointer
         for k in range(n):
-            window = running[(rr + k) % n]
-            if window.compute_charged and window.compute_ready_cycle > cycle:
-                # Still computing (``_try_issue``'s compute wait, tested inline).
+            index = (rr + k) % n
+            window = running[index]
+            if window.compute_charged:
                 window_ready = window.compute_ready_cycle
-                if not ready or window_ready < ready:
-                    ready = window_ready
-                continue
-            result = self._try_issue(window, cycle)
-            if result == "issued":
-                issued += 1
-                self._rr_pointer = (rr + k) % n
-                if issued >= self.config.issue_width:
-                    break
-            elif result == "compute":
-                window_ready = window.compute_ready_cycle
-                if not ready or window_ready < ready:
-                    ready = window_ready
+                if window_ready > cycle:  # still computing
+                    if not ready or window_ready < ready:
+                        ready = window_ready
+                    continue
+            tb = window.tb
+            cursor = window.cursor
+            if tb is None or cursor >= len(tb.entries):
+                continue  # draining: waiting for outstanding responses
+            # A request rejected by interconnect back-pressure on an earlier
+            # cycle is retried as-is (its L1 probe and trace-entry bookkeeping
+            # already happened).
+            req = window.pending_request
+            if req is None:
+                entry = tb.entries[cursor]
+                if not window.compute_charged and entry.compute_cycles > 0:
+                    # Charge the entry's compute once, before its access issues.
+                    window_ready = window.compute_ready_cycle = cycle + entry.compute_cycles
+                    window.compute_charged = True
+                    if not ready or window_ready < ready:
+                        ready = window_ready
+                    continue
+                addr = entry.addr
+                if addr >= 0:  # else a pure-compute bubble, which completes here
+                    if window.outstanding >= window.depth:
+                        continue  # depth-full: waiting for a response
+                    # The L1 probe (``L1Cache.access_read``/``access_write``,
+                    # written out).  Writes are forwarded, refreshing a
+                    # present line; a read hit completes locally within the
+                    # cycle (latency 1 absorbed).
+                    shift = self._l1_shift
+                    line = addr >> shift
+                    set_index = line & self._l1_mask
+                    if set_index >= self._l1_num_sets:
+                        raise self.l1.storage.range_error(set_index)
+                    l1_set = self._l1_sets[set_index]
+                    line <<= shift
+                    rw = entry.rw
+                    if rw == _READ and line in l1_set:
+                        l1_set.move_to_end(line)
+                        self.l1.read_hits += 1
+                        self.stat_l1_hits += 1
+                    else:
+                        if rw == _READ:
+                            self.l1.read_misses += 1
+                        else:
+                            self.l1.writes += 1
+                            if line in l1_set:
+                                l1_set.move_to_end(line)
+                        # Positional: addr, rw, core_id, tb_id, kind, size,
+                        # req_id, issue_cycle.
+                        req = MemRequest(
+                            addr, rw, self.core_id, tb.tb_id, entry.kind,
+                            entry.size, next_request_id(), cycle,
+                        )
+            if req is not None:
+                if not self.request_sink(req, cycle):
+                    self.stat_backpressure_stalls += 1
+                    window.pending_request = req
+                    continue
+                window.pending_request = None
+                self._req_window[req.req_id] = window.window_id
+                window.outstanding += 1
+            elif window.outstanding == 0 and cursor + 1 >= len(tb.entries):
+                # A local completion issued the block's last entry with nothing
+                # outstanding: the block drained, so the next tick retires it.
+                self.rescan = True
+            window.cursor = cursor + 1
+            window.compute_charged = False
+            issued += 1
+            self._rr_pointer = index
+            if issued >= self._issue_width:
+                break
 
         if issued:
             self.stat_active_cycles += 1
@@ -216,103 +348,6 @@ class VectorCore:
                 # alter the next tick: park until one of them happens.
                 self.parked = True
                 self.parked_idle = False
-
-    # -- helpers ---------------------------------------------------------------------------
-    def _retire_and_refill(self, cycle: int) -> bool:
-        """Retire drained blocks and refill one window; True if anything changed."""
-
-        retired = False
-        busy = 0
-        free_window: InstructionWindow | None = None
-        for window in self.windows:
-            tb = window.tb
-            if tb is None:
-                if free_window is None:
-                    free_window = window
-                continue
-            # Retire a drained thread block (all entries issued, all data back).
-            if window.outstanding == 0 and window.cursor >= len(tb.entries):
-                block = window.release()
-                self.stat_completed_blocks += 1
-                self.scheduler.notify_complete(block)
-                retired = True
-                if free_window is None:
-                    free_window = window
-            else:
-                busy += 1
-        if free_window is None or busy >= self.max_running_blocks:
-            return retired
-        # Refill at most one window per cycle (the global scheduler hands out one
-        # thread block per core per cycle, striping consecutive blocks across
-        # cores the way a GPU CTA dispatcher does).
-        block = self.scheduler.next_block(self.core_id)
-        if block is None:
-            return retired
-        free_window.assign(block, cycle)
-        return True
-
-    def _try_issue(self, window: InstructionWindow, cycle: int) -> str:
-        """Attempt one issue from ``window``; returns 'issued', 'compute' or 'memory'."""
-
-        tb = window.tb
-        if tb is None or window.cursor >= len(tb.entries):
-            return "memory"  # draining: waiting for outstanding responses
-
-        # A request rejected by interconnect back-pressure on an earlier cycle is
-        # retried as-is (its L1 probe and trace-entry bookkeeping already happened).
-        pending = window.pending_request
-        if pending is not None:
-            if not self.request_sink(pending, cycle):
-                self.stat_backpressure_stalls += 1
-                return "memory"
-            self._complete_send(window, pending)
-            return "issued"
-
-        entry = tb.entries[window.cursor]
-
-        # Charge the entry's compute cost once, before its memory access issues.
-        if not window.compute_charged and entry.compute_cycles > 0:
-            window.compute_ready_cycle = cycle + entry.compute_cycles
-            window.compute_charged = True
-        if window.compute_charged and window.compute_ready_cycle > cycle:
-            return "compute"
-
-        if entry.addr < 0:  # a pure-compute bubble (``not entry.has_access``)
-            window.cursor += 1
-            window.compute_charged = False
-            return "issued"
-
-        if window.outstanding >= window.depth:
-            return "memory"
-
-        if entry.rw == _READ and self.l1.access_read(entry.addr):
-            # L1 hit: completes locally within the cycle (latency 1 absorbed).
-            self.stat_l1_hits += 1
-            window.cursor += 1
-            window.compute_charged = False
-            return "issued"
-
-        if entry.rw == _WRITE:
-            self.l1.access_write(entry.addr)
-
-        # Positional: addr, rw, core_id, tb_id, kind, size, req_id, issue_cycle.
-        req = MemRequest(
-            entry.addr, entry.rw, self.core_id, tb.tb_id, entry.kind, entry.size,
-            next_request_id(), cycle,
-        )
-        if not self.request_sink(req, cycle):
-            self.stat_backpressure_stalls += 1
-            window.pending_request = req
-            return "memory"
-        self._complete_send(window, req)
-        return "issued"
-
-    def _complete_send(self, window: InstructionWindow, req: MemRequest) -> None:
-        window.pending_request = None
-        self._req_window[req.req_id] = window.window_id
-        window.outstanding += 1
-        window.cursor += 1
-        window.compute_charged = False
 
     # ------------------------------------------------------------------------------
     # inspection

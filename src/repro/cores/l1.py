@@ -26,6 +26,9 @@ class L1Cache:
         self._map = AddressMap(line_size=config.line_size, num_slices=1)
         self.line_shift = (config.line_size - 1).bit_length()
         num_sets = config.num_sets
+        #: The set index of a line is ``(addr >> line_shift) & set_mask``; the
+        #: core's issue and fill paths compute it inline from these two fields.
+        self.set_mask = num_sets - 1
         self.storage = CacheStorage(
             num_sets=num_sets,
             associativity=config.associativity,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.types import MemRequest
 from repro.trace.threadblock import ThreadBlock
 
 
@@ -28,7 +29,7 @@ class InstructionWindow:
     #: A request already prepared (L1 probed, trace entry consumed) that could
     #: not be injected into the interconnect due to back-pressure; retried on
     #: later cycles without repeating the L1 probe.
-    pending_request: object | None = None
+    pending_request: MemRequest | None = None
 
     def assign(self, tb: ThreadBlock, cycle: int) -> None:
         self.tb = tb

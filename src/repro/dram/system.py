@@ -50,8 +50,19 @@ class DramStats:
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
+#: ``DramSystem.next_active_cycle`` while no channel holds an access.
+_NEVER = 1 << 62
+
+
 class DramSystem:
-    """All channels plus the address interleaving map."""
+    """All channels plus the address interleaving map.
+
+    A channel acts on a cycle only when an in-flight access completes or when
+    it holds a queued access and has room in its pipeline; on every other
+    cycle its tick does nothing.  :attr:`next_active_cycle` is the earliest
+    cycle at which any channel can act, and the system loop calls
+    :meth:`tick` only from that cycle on.
+    """
 
     def __init__(self, config: DramConfig, core_frequency_ghz: float, line_size: int = 64):
         config.validate()
@@ -76,6 +87,10 @@ class DramSystem:
             )
             for c in range(config.num_channels)
         ]
+        #: Earliest cycle at which a channel can act: the next completion of
+        #: an in-flight access, or the cycle after a tick that left a queued
+        #: access with pipeline room or after an accepted :meth:`enqueue`.
+        self.next_active_cycle = _NEVER
 
     # -- request interface -----------------------------------------------------------
     def can_accept(self, line_addr: int) -> bool:
@@ -96,15 +111,33 @@ class DramSystem:
             payload=payload,
             enqueue_cycle=cycle,
         )
-        return self.channels[channel_id].enqueue(txn)
+        if not self.channels[channel_id].enqueue(txn):
+            return False
+        if cycle < self.next_active_cycle:
+            self.next_active_cycle = cycle + 1
+        return True
 
     def tick(self, cycle: int) -> list[tuple[Any, int, bool]]:
-        """Advance all channels; return completed (payload, line_addr, is_write)."""
+        """Advance all channels; return completed (payload, line_addr, is_write).
+
+        Only the channels that can act on ``cycle`` are ticked; the others'
+        ticks would do nothing.
+        """
 
         completed: list[tuple[Any, int, bool]] = []
+        next_active = _NEVER
         for channel in self.channels:
-            if channel.has_work:
-                completed.extend(channel.tick(cycle))
+            queue = channel.queue
+            in_flight = channel.in_flight
+            if (in_flight and in_flight[0][0] <= cycle) or (
+                queue and len(in_flight) < channel.pipeline_depth
+            ):
+                completed += channel.tick(cycle)
+            if queue and len(in_flight) < channel.pipeline_depth:
+                next_active = cycle + 1
+            elif in_flight and in_flight[0][0] < next_active:
+                next_active = in_flight[0][0]
+        self.next_active_cycle = next_active
         return completed
 
     def has_work(self) -> bool:

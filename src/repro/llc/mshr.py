@@ -93,10 +93,6 @@ class MshrFile:
     def occupancy(self) -> int:
         return len(self._entries)
 
-    @property
-    def has_free_entry(self) -> bool:
-        return len(self._entries) < self.num_entries
-
     def lookup(self, line_addr: int) -> MshrEntry | None:
         return self._entries.get(line_addr)
 

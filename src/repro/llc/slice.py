@@ -45,7 +45,9 @@ _PIPELINE_DEPTH_SLACK = 2
 _WRITE = AccessType.WRITE
 
 ResponseSink = Callable[[MemResponse, int, int], None]
-DramSink = Callable[[int, bool, int], bool]
+#: ``(line_addr, is_write, payload, cycle) -> accepted``; the slice passes its id
+#: as the payload, which DRAM hands back with the completion.
+DramSink = Callable[[int, bool, int, int], bool]
 
 
 class LLCSlice:
@@ -186,7 +188,7 @@ class LLCSlice:
         # 1. DRAM backlog and pending fills.
         while backlog:
             line_addr, is_write = backlog[0]
-            if not self.dram_sink(line_addr, is_write, self.slice_id):
+            if not self.dram_sink(line_addr, is_write, self.slice_id, cycle):
                 break
             backlog.popleft()
             if is_write:
@@ -213,7 +215,7 @@ class LLCSlice:
                         self.mshr_merges += 1
                     else:
                         self.mshr_allocations += 1
-                        self._send_dram(req.line_addr, False)
+                        self._send_dram(req.line_addr, False, cycle)
         else:
             stalled = False
         self.stalled = stalled
@@ -241,7 +243,7 @@ class LLCSlice:
             victim = self.storage.fill(line_addr, dirty)
             if victim is not None and victim.dirty:
                 self.writebacks += 1
-                self._send_dram(victim.line_addr, True)
+                self._send_dram(victim.line_addr, True, cycle)
         elif stalled:
             if not (responses or pending_fills or backlog):
                 self.parked = True
@@ -272,10 +274,10 @@ class LLCSlice:
                 mshr_stage.append((cycle + self._miss_pipeline_latency, req))
 
     # -- DRAM traffic -------------------------------------------------------------------------
-    def _send_dram(self, line_addr: int, is_write: bool) -> None:
+    def _send_dram(self, line_addr: int, is_write: bool, cycle: int) -> None:
         """Issue a DRAM access, or queue it behind the backlog (kept in order)."""
 
-        if self._dram_backlog or not self.dram_sink(line_addr, is_write, self.slice_id):
+        if self._dram_backlog or not self.dram_sink(line_addr, is_write, self.slice_id, cycle):
             self._dram_backlog.append((line_addr, is_write))
         elif is_write:
             self.dram_writes_issued += 1

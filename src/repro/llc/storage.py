@@ -30,7 +30,7 @@ class CacheStorage:
         "num_sets",
         "associativity",
         "_index_fn",
-        "_sets",
+        "sets",
         "fills",
         "evictions",
         "dirty_evictions",
@@ -47,7 +47,9 @@ class CacheStorage:
         self.num_sets = num_sets
         self.associativity = associativity
         self._index_fn = index_fn
-        self._sets: list[OrderedDict[int, bool]] = [OrderedDict() for _ in range(num_sets)]
+        #: One recency-ordered dict per set.  Public so that the core's L1 probe
+        #: can index it without a method call (see ``VectorCore.tick``).
+        self.sets: list[OrderedDict[int, bool]] = [OrderedDict() for _ in range(num_sets)]
         self.fills = 0
         self.evictions = 0
         self.dirty_evictions = 0
@@ -56,10 +58,10 @@ class CacheStorage:
     def _set_for(self, line_addr: int) -> OrderedDict[int, bool]:
         index = self._index_fn(line_addr)
         if not 0 <= index < self.num_sets:
-            raise self._range_error(index)
-        return self._sets[index]
+            raise self.range_error(index)
+        return self.sets[index]
 
-    def _range_error(self, index: int) -> ConfigError:
+    def range_error(self, index: int) -> ConfigError:
         return ConfigError(f"index function returned {index}, outside [0, {self.num_sets})")
 
     def lookup(self, line_addr: int, update_lru: bool = True) -> bool:
@@ -68,8 +70,8 @@ class CacheStorage:
         # ``_set_for`` inlined: every L1 probe and LLC lookup comes through here.
         index = self._index_fn(line_addr)
         if not 0 <= index < self.num_sets:
-            raise self._range_error(index)
-        cache_set = self._sets[index]
+            raise self.range_error(index)
+        cache_set = self.sets[index]
         if line_addr not in cache_set:
             return False
         if update_lru:
@@ -89,8 +91,8 @@ class CacheStorage:
 
         index = self._index_fn(line_addr)  # ``_set_for`` inlined, as in ``lookup``
         if not 0 <= index < self.num_sets:
-            raise self._range_error(index)
-        cache_set = self._sets[index]
+            raise self.range_error(index)
+        cache_set = self.sets[index]
         victim: EvictedLine | None = None
         if line_addr in cache_set:
             # Refill of a present line: merge dirtiness, refresh recency.
@@ -124,7 +126,7 @@ class CacheStorage:
     # -- inspection -------------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self.sets)
 
     @property
     def capacity_lines(self) -> int:
@@ -132,6 +134,6 @@ class CacheStorage:
 
     def resident_lines(self) -> list[int]:
         lines: list[int] = []
-        for s in self._sets:
+        for s in self.sets:
             lines.extend(s.keys())
         return lines

@@ -59,6 +59,9 @@ class Interconnect:
 
         self._req_in_flight: deque[tuple[int, int, MemRequest]] = deque()  # (cycle, slice, req)
         self._resp_in_flight: list[tuple[int, int, MemResponse]] = []     # (cycle, seq, resp)
+        # The slice of an address (``AddressMap.slice_of``), computed inline.
+        self._line_shift = (address_map.line_size - 1).bit_length()
+        self._slice_mask = address_map.num_slices - 1
         self._request_latency = config.request_latency
         self._port_width = config.slice_port_width
         #: Cycle of the last accepted request; requests must not go back in time.
@@ -89,7 +92,7 @@ class Interconnect:
             raise SimulationError(
                 f"request sent at cycle {cycle}, after one at cycle {self._last_send_cycle}"
             )
-        slice_id = self.address_map.slice_of(req.addr)
+        slice_id = (req.addr >> self._line_shift) & self._slice_mask
         if not self.has_room(slice_id):
             self.backpressure_rejects += 1
             self._reject(slice_id, req.core_id)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.common.types import MemResponse
+from repro.common.address import AddressMap
 from repro.config.policies import PolicyConfig
 from repro.config.system import SystemConfig
 from repro.cores.core import VectorCore
@@ -35,23 +35,26 @@ class SimulatedSystem:
         self.config = system
         self.policy = policy
         self.trace = trace
-        self.cycle = 0
 
         self.dram = DramSystem(
             system.dram, system.frequency_ghz, line_size=system.l2.line_size
+        )
+        # The NoC is built first so that the slices hold its response path and
+        # the DRAM's enqueue themselves.
+        self.noc = Interconnect(
+            config=system.noc,
+            address_map=AddressMap(
+                line_size=system.l2.line_size, num_slices=system.l2.num_slices
+            ),
+            num_cores=system.core.num_cores,
+            num_slices=system.l2.num_slices,
         )
         self.llc = SlicedLLC(
             config=system.l2,
             policy=policy,
             num_cores=system.core.num_cores,
-            response_sink=self._response_sink,
-            dram_sink=self._dram_sink,
-        )
-        self.noc = Interconnect(
-            config=system.noc,
-            address_map=self.llc.address_map,
-            num_cores=system.core.num_cores,
-            num_slices=system.l2.num_slices,
+            response_sink=self.noc.send_response,
+            dram_sink=self.dram.enqueue,
         )
         self.scheduler = ThreadBlockScheduler(trace)
         self.cores = [
@@ -71,23 +74,17 @@ class SimulatedSystem:
         self._core_sinks = [core.receive for core in self.cores]
         self._core_nudges = [core.nudge for core in self.cores]
 
-    # -- component glue ------------------------------------------------------------------
-    def _response_sink(self, resp: MemResponse, cycle: int, extra_delay: int) -> None:
-        self.noc.send_response(resp, cycle, extra_delay)
-
-    def _dram_sink(self, line_addr: int, is_write: bool, slice_id: int) -> bool:
-        return self.dram.enqueue(line_addr, is_write, payload=slice_id, cycle=self.cycle)
-
     # -- per-cycle advance ---------------------------------------------------------------------
     def step(self, cycle: int) -> None:
         """Advance every component by one cycle."""
 
-        self.cycle = cycle
-
         # DRAM completions free MSHR entries and fan responses out to the cores.
-        for payload, line_addr, is_write in self.dram.tick(cycle):
-            if not is_write:
-                self.llc.on_dram_fill(payload, line_addr, cycle)
+        # A cycle on which no channel can act leaves the DRAM as it is.
+        dram = self.dram
+        if cycle >= dram.next_active_cycle:
+            for payload, line_addr, is_write in dram.tick(cycle):
+                if not is_write:
+                    self.llc.on_dram_fill(payload, line_addr, cycle)
 
         self.llc.tick(cycle)
         self.noc.tick(cycle, self._slice_sinks, self._core_sinks, self._core_nudges)

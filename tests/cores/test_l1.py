@@ -1,7 +1,12 @@
 """Tests for the private streaming L1."""
 
-from repro.config.system import L1Config
+from repro.common.rng import make_rng
+from repro.common.types import AccessType, MemResponse, TraceEntry
+from repro.config.system import CoreConfig, L1Config
+from repro.cores.core import VectorCore
 from repro.cores.l1 import L1Cache
+from repro.cores.scheduler import ThreadBlockScheduler
+from repro.trace.threadblock import ThreadBlock, Trace
 
 
 class TestL1Reads:
@@ -62,3 +67,65 @@ class TestCapacity:
     def test_line_addr_alignment(self):
         l1 = L1Cache(L1Config())
         assert l1.line_addr(0x1234) == 0x1200
+
+
+class TestCoreInlinePath:
+    def test_core_probe_and_fill_match_the_l1_methods(self):
+        """``VectorCore`` probes and fills its L1 inline; the ``L1Cache``
+        methods are the reference, replayed on the same accesses and fills."""
+
+        rng = make_rng(11)
+        config = L1Config(size_bytes=1024, associativity=2)  # 8 sets of 2 ways
+        entries = [
+            TraceEntry(
+                compute_cycles=int(rng.choice((0, 0, 0, 2))),
+                addr=int(rng.integers(48)) * 64 + int(rng.integers(64)),
+                rw=AccessType.WRITE if rng.random() < 0.25 else AccessType.READ,
+            )
+            for _ in range(400)
+        ]
+        trace = Trace(blocks=[ThreadBlock(tb_id=0, h=0, g=0, tile_index=0, entries=entries)])
+        in_flight = []  # (deliver cycle, request)
+
+        def sink(req, cycle):
+            in_flight.append((cycle + int(rng.integers(1, 12)), req))
+            return True
+
+        core = VectorCore(0, CoreConfig(num_cores=1, num_inst_windows=1, inst_window_depth=4),
+                          L1Cache(config), sink, ThreadBlockScheduler(trace))
+        reference = L1Cache(config)
+        window = core.windows[0]
+        cycle = 0
+        while core.stat_completed_blocks == 0:
+            for item in [item for item in in_flight if item[0] <= cycle]:
+                in_flight.remove(item)
+                req = item[1]
+                line = reference.line_addr(req.addr)
+                core.receive(MemResponse(req.req_id, 0, 0, line, req.rw, cycle), cycle)
+                if req.rw == AccessType.READ:
+                    reference.fill(line)
+            cursor, sent = window.cursor, len(in_flight)
+            core.tick(cycle)
+            if window.tb is not None and window.cursor == cursor + 1:
+                entry = entries[cursor]
+                if entry.rw == AccessType.READ:
+                    hit = reference.access_read(entry.addr)
+                else:
+                    reference.access_write(entry.addr)
+                    hit = False
+                assert len(in_flight) == sent + (not hit)
+            cycle += 1
+            assert cycle < 10_000
+
+        got, want = core.l1, reference
+        assert [list(s.items()) for s in got.storage.sets] == [
+            list(s.items()) for s in want.storage.sets
+        ]
+        assert (got.read_hits, got.read_misses, got.writes) == (
+            want.read_hits, want.read_misses, want.writes
+        )
+        assert (got.storage.fills, got.storage.evictions) == (
+            want.storage.fills, want.storage.evictions
+        )
+        # The corpus exercises hits, misses, writes and evictions.
+        assert min(want.read_hits, want.read_misses, want.writes, want.storage.evictions) > 0

@@ -35,9 +35,9 @@ class LLCHarness:
         self.tick_cycles: list[int] = []
         self.cycle = 0
 
-    def _dram_sink(self, line_addr: int, is_write: bool, slice_id: int) -> bool:
+    def _dram_sink(self, line_addr: int, is_write: bool, slice_id: int, cycle: int) -> bool:
         if not is_write:
-            self.dram.append((self.cycle + self.dram_latency, line_addr))
+            self.dram.append((cycle + self.dram_latency, line_addr))
         return True
 
     def push(self, addr: int, core: int = 0) -> None:

@@ -36,11 +36,11 @@ class SliceHarness:
         )
         self.cycle = 0
 
-    def _dram_sink(self, line_addr: int, is_write: bool, slice_id: int) -> bool:
+    def _dram_sink(self, line_addr: int, is_write: bool, slice_id: int, cycle: int) -> bool:
         if not self.dram_always_accepts:
             self.dram_rejects += 1
             return False
-        self.dram_queue.append((self.cycle + self.dram_latency, line_addr, is_write))
+        self.dram_queue.append((cycle + self.dram_latency, line_addr, is_write))
         return True
 
     def push(self, addr: int, rw=AccessType.READ, core=0) -> bool:

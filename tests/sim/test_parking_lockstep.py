@@ -2,9 +2,11 @@
 
 Two systems built from the same inputs step side by side.  One runs as the
 engine runs it; the other wakes every core and unparks every slice before
-each step, so every component ticks on every cycle -- the behaviour before
-parking existed, where every response and every slice drain woke its core and
-no room check ran.  After every cycle the progress signature and every stall
+each step, raises every core's block-scan flag and clears the DRAM's
+next-event cycle, so every component ticks on every cycle, every core scans
+its windows on every tick and the DRAM ticks on every cycle -- the behaviour
+before parking and event gating existed, where every response and every slice
+drain woke its core and no room check ran.  After every cycle the progress signature and every stall
 counter a throttle controller reads must agree, and at the end the serialized
 results must be identical.  Compute-parked cores (a timed wake at
 ``wake_cycle``) are counted apart from memory and idle parks, and parked
@@ -47,12 +49,15 @@ _FINISH_CHECK_INTERVAL = 64
 def unpark(system: SimulatedSystem) -> None:
     for core in system.cores:
         core.wake()
+        core.rescan = True
     for llc_slice in system.llc.slices:
         llc_slice.parked = False
+    system.dram.next_active_cycle = 0
 
 
 class UnparkedSystem(SimulatedSystem):
-    """The reference engine: every core and slice ticks on every cycle."""
+    """The reference engine: every core and slice ticks on every cycle, every
+    core scans its windows and the DRAM ticks on every cycle."""
 
     def step(self, cycle: int) -> None:
         unpark(self)
@@ -116,6 +121,9 @@ def small_workload(operator: OperatorKind, seq_len: int) -> WorkloadConfig:
     ).validate()
 
 
+#: The perfbench kernel shapes (ci tier, L=2048).
+KERNEL_SHAPES = ("llama3-70b", "llama3-70b-attend")
+
 #: Small Logit and AttScore@V traces for the tiny system (8k / 7-9k cycles).
 SMALL_SEQ_LEN = {OperatorKind.LOGIT: 128, OperatorKind.ATTEND: 64}
 
@@ -130,13 +138,19 @@ def test_fig7_policies_match_the_unparked_reference(tiny_system, operator, label
         assert parked["compute"] > 0
 
 
+def check_kernel_point(model: str, label: str) -> dict:
+    """Lockstep one perfbench kernel shape (ci tier, L=2048) under ``label``."""
+
+    scenario = Scenario.create(model, label, seq_len=2048)
+    system_cfg, workload, policy = scenario.resolve()
+    return lockstep(system_cfg, policy, generate_trace(workload, system_cfg))
+
+
 @pytest.mark.parametrize("label", ["unopt", "dynmg+BMA"])
 def test_ci_tier_logit_point_matches(label):
     """The Fig 7 regime: cores mostly back-pressured, woken by nudges."""
 
-    scenario = Scenario.create("llama3-70b", label, seq_len=2048)
-    system_cfg, workload, policy = scenario.resolve()
-    parked = lockstep(system_cfg, policy, generate_trace(workload, system_cfg))
+    parked = check_kernel_point("llama3-70b", label)
     assert parked["cores"] > 0
 
 
@@ -152,9 +166,7 @@ def test_shallow_window_point_matches(tiny_system, operator):
 
 
 def test_ci_tier_attend_point_matches():
-    scenario = Scenario.create("llama3-70b-attend", "dynmg+BMA", seq_len=2048)
-    system_cfg, workload, policy = scenario.resolve()
-    parked = lockstep(system_cfg, policy, generate_trace(workload, system_cfg))
+    parked = check_kernel_point("llama3-70b-attend", "dynmg+BMA")
     assert parked["cores"] > 0
     assert parked["compute"] > 0
 
@@ -196,20 +208,40 @@ def test_injected_starvation_raises_at_the_same_cycle(tiny_system, tiny_workload
 
 
 def test_unparked_reference_really_ticks_every_component(tiny_system, tiny_workload):
-    """Guard the oracle itself: the reference must never skip a tick."""
+    """Guard the oracle itself: the reference must never skip a tick, a block
+    scan or a DRAM tick."""
 
     system = UnparkedSystem(tiny_system, resolve_policy("unopt"),
                             generate_trace(tiny_workload, tiny_system))
-    ticks = {"cores": 0}
+    ticks = {"cores": 0, "scans": 0, "dram": 0}
     for core in system.cores:
         original = core.tick
 
-        def counted(cycle, _tick=original):
+        def counted(cycle, _core=core, _tick=original):
             ticks["cores"] += 1
+            ticks["scans"] += _core.rescan
             _tick(cycle)
 
         core.tick = counted
+    dram_tick = system.dram.tick
+
+    def counted_dram(cycle):
+        ticks["dram"] += 1
+        return dram_tick(cycle)
+
+    system.dram.tick = counted_dram
     for cycle in range(500):
         system.step(cycle)
     assert ticks["cores"] == 500 * len(system.cores)
+    assert ticks["scans"] == ticks["cores"]
+    assert ticks["dram"] == 500
 
+
+
+if __name__ == "__main__":
+    for model in KERNEL_SHAPES:
+        for label in FIG7_POLICIES:
+            parked = check_kernel_point(model, label)
+            print(f"{model} {label}: matches the unparked reference "
+                  f"({parked['cores']} memory/idle-parked and {parked['compute']} "
+                  f"compute-parked core-cycles, {parked['slices']} parked slice-cycles)")
