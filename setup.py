@@ -1,9 +1,8 @@
-"""Setuptools shim.
+"""Package metadata for the ``repro`` distribution and the ``llamcat`` CLI.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so the
-package can also be installed in minimal/offline environments where the
-``wheel`` package (needed for PEP 660 editable builds) is unavailable, via
-``pip install -e . --no-build-isolation``.
+Install with ``pip install -e .`` (add ``--no-build-isolation`` in offline
+environments without the ``wheel`` package); ``pip install -e .[test]`` adds
+the test dependencies.
 """
 
 from setuptools import find_packages, setup
@@ -19,6 +18,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["llamcat=repro.cli:main"]},
 )

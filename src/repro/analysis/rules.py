@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.engine import (
     Finding,
@@ -158,15 +158,12 @@ class WallClockRule(LintRule):
         "wall-clock call (time.time, time.perf_counter, datetime.now, ...)\n"
         "that leaks into metrics, traces or stored results makes seeded runs\n"
         "differ byte-for-byte and breaks the CI double-run 'cmp' checks.\n"
-        "Wall-clock profiling belongs in repro.obs.profile (or benchmarks/),\n"
-        "which are allowlisted; elsewhere a deliberate, output-invisible use\n"
+        "Wall-clock profiling belongs in repro.obs.profile, which is\n"
+        "allowlisted; elsewhere a deliberate, output-invisible use\n"
         "needs an explicit '# repro: noqa[DET002]' with a justification."
     )
 
     def applies(self, path: str) -> bool:
-        parts = _parts(path)
-        if "benchmarks" in parts:
-            return False
         return not path.endswith("repro/obs/profile.py")
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:

@@ -1,24 +1,23 @@
 """The BENCHES registry: every performance benchmark, lookup-by-name.
 
-Benchmarks used to be thirteen ad-hoc pytest files under ``benchmarks/`` that
-only pytest could drive.  Registering them here -- through the same
-:class:`repro.registry.Registry` machinery as workloads, policies and
-schedulers -- makes the suite a first-class component set: ``llamcat list
-benches`` enumerates it, ``llamcat bench`` runs any subset with warmup/repeat
-control, and the REG001 analysis rule rejects a bench module that its
-registry's bootstrap would never import.
+Benchmarks are registered through the same :class:`repro.registry.Registry`
+machinery as workloads, policies and schedulers, so the suite is a
+first-class component set: ``llamcat list benches`` enumerates it, ``llamcat
+bench`` runs any subset with warmup/repeat control, and the REG001 analysis
+rule rejects a bench module that its registry's bootstrap would never import.
 
 A registered bench is a callable ``(tier: ScaleTier) -> BenchOutput``: it runs
-one experiment at the requested scale tier and returns its configuration, the
-deterministic headline values it produced (each a named, unit-tagged metric)
-and optionally a rendered detail block plus the raw result object for test
-assertions.  Wall-clock timing is the *runner's* job (:mod:`repro.bench
-.runner`), never the bench's, so bench functions stay deterministic.
+one experiment at the requested scale tier, checks the result shape the
+experiment predicts (raising :class:`~repro.common.errors.SimulationError`
+when it misses), and returns its configuration and the deterministic headline
+values it produced (each a named, unit-tagged metric).  Wall-clock timing is
+the *runner's* job (:mod:`repro.bench.runner`), never the bench's, so bench
+functions stay deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.registry import Registry
@@ -58,24 +57,9 @@ class BenchValue:
 class BenchOutput:
     """What one bench execution produced (everything but wall-clock time).
 
-    ``values`` are the deterministic numbers that go into the trend file;
-    ``detail`` is an optional pre-rendered text block for ``llamcat report``;
-    ``raw`` carries the underlying result object(s) so the pytest wrappers in
-    ``benchmarks/`` can keep their domain assertions -- it is never
-    serialized.
+    ``values`` are the deterministic numbers that go into the trend file.
     """
 
     bench: str
     config: dict
     values: tuple[BenchValue, ...]
-    detail: str = ""
-    raw: object | None = field(default=None, compare=False)
-
-    def value_of(self, metric: str) -> float:
-        for entry in self.values:
-            if entry.metric == metric:
-                return entry.value
-        raise KeyError(
-            f"bench {self.bench!r} reported no metric {metric!r} "
-            f"(has {[v.metric for v in self.values]})"
-        )

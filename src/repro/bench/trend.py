@@ -13,12 +13,6 @@ and stable::
 bit-for-bit across machines), ``wall_s`` the measured wall-clock seconds of
 one bench execution (machine-dependent, reported but never gated by default).
 
-:func:`load_trend` also accepts the legacy PR-6 shape (a single object
-``{bench, config, tokens_per_s, wall_s}`` as written by the old
-``benchmarks/conftest.write_trend``) and migrates it on read, so pre-existing
-``BENCH_serve.json`` / ``BENCH_cluster.json`` histories survive the move to
-the new schema.
-
 :func:`compare_trends` computes per-(bench, metric) deltas between two trend
 states with a noise threshold; regression direction is inferred from the
 metric's unit (``tokens/s`` up is good, ``ms`` up is bad, unknown units are
@@ -104,27 +98,8 @@ def trend_path(root: str | Path, bench: str) -> Path:
     return Path(root) / f"{TREND_PREFIX}{bench}.json"
 
 
-def _migrate_legacy(payload: dict) -> list[TrendRecord]:
-    """The PR-6 single-object shape ``{bench, config, tokens_per_s, wall_s}``."""
-
-    return [
-        TrendRecord(
-            bench=payload["bench"],
-            config=dict(payload.get("config", {})),
-            metric="tokens_per_s",
-            value=payload["tokens_per_s"],
-            unit="tokens/s",
-            wall_s=payload.get("wall_s", 0.0),
-        ).validate()
-    ]
-
-
 def load_trend(path: str | Path) -> list[TrendRecord]:
-    """Every record in one trend file, oldest first (empty if absent).
-
-    Accepts both the current list-of-records shape and the legacy PR-6
-    single-object shape, which is migrated on read.
-    """
+    """Every record in one trend file, oldest first (empty if absent)."""
 
     path = Path(path)
     if not path.exists():
@@ -133,13 +108,6 @@ def load_trend(path: str | Path) -> list[TrendRecord]:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"trend file {path} is not valid JSON: {exc}") from exc
-    if isinstance(payload, dict):
-        if "tokens_per_s" not in payload:
-            raise ConfigError(
-                f"trend file {path} is neither a record list nor the legacy "
-                "{bench, config, tokens_per_s, wall_s} shape"
-            )
-        return _migrate_legacy(payload)
     if not isinstance(payload, list):
         raise ConfigError(f"trend file {path} must hold a JSON list")
     return [TrendRecord.from_dict(entry) for entry in payload]
@@ -158,7 +126,7 @@ def write_trend(path: str | Path, records: list[TrendRecord]) -> Path:
 
 
 def append_trend(path: str | Path, records: list[TrendRecord]) -> Path:
-    """Append ``records`` to a trend file (migrating a legacy file in place)."""
+    """Append ``records`` to a trend file."""
 
     existing = load_trend(path)
     return write_trend(path, existing + [r.validate() for r in records])

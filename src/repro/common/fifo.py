@@ -8,7 +8,7 @@ capacity accounting uniform.  The FIFO keeps no occupancy statistics.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generic, Iterable, Iterator, Optional, TypeVar
+from typing import Generic, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -42,18 +42,6 @@ class BoundedFifo(Generic[T]):
     def __bool__(self) -> bool:
         return bool(self.items)
 
-    @property
-    def full(self) -> bool:
-        return len(self.items) >= self._capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self.items
-
-    @property
-    def free_slots(self) -> int:
-        return self._capacity - len(self.items)
-
     # -- mutation -----------------------------------------------------------------
     def push(self, item: T) -> bool:
         """Append ``item``; returns ``False`` (and drops nothing) when full."""
@@ -63,11 +51,6 @@ class BoundedFifo(Generic[T]):
             return False
         items.append(item)
         return True
-
-    def pop(self) -> T:
-        """Remove and return the oldest element."""
-
-        return self.items.popleft()
 
     def pop_index(self, index: int) -> T:
         """Remove and return the element at ``index`` (0 = oldest).
@@ -91,30 +74,9 @@ class BoundedFifo(Generic[T]):
     def peek(self, index: int = 0) -> T:
         return self.items[index]
 
-    def clear(self) -> None:
-        self.items.clear()
-
-    def extend(self, items: Iterable[T]) -> int:
-        """Push items until the queue fills; returns how many were accepted."""
-
-        accepted = 0
-        for item in items:
-            if not self.push(item):
-                break
-            accepted += 1
-        return accepted
-
     # -- inspection ---------------------------------------------------------------
     def __iter__(self) -> Iterator[T]:
         return iter(self.items)
-
-    def find(self, predicate: Callable[[T], bool]) -> Optional[int]:
-        """Return the index of the first element satisfying ``predicate``."""
-
-        for i, item in enumerate(self.items):
-            if predicate(item):
-                return i
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundedFifo({list(self.items)!r}, capacity={self._capacity})"

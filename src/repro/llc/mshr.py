@@ -96,10 +96,6 @@ class MshrFile:
     def lookup(self, line_addr: int) -> MshrEntry | None:
         return self._entries.get(line_addr)
 
-    def can_merge(self, line_addr: int) -> bool:
-        entry = self._entries.get(line_addr)
-        return entry is not None and entry.num_targets < self.num_targets
-
     def pending_lines(self) -> frozenset[int]:
         """The MSHR_snapshot of §4.3: the set of line addresses currently pending.
 

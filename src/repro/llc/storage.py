@@ -119,10 +119,6 @@ class CacheStorage:
         cache_set.move_to_end(line_addr)
         return True
 
-    def invalidate(self, line_addr: int) -> bool:
-        cache_set = self._set_for(line_addr)
-        return cache_set.pop(line_addr, None) is not None
-
     # -- inspection -------------------------------------------------------------------------
     @property
     def occupancy(self) -> int:

@@ -53,7 +53,6 @@ class Interconnect:
     ) -> None:
         config.validate()
         self.config = config
-        self.address_map = address_map
         self.num_cores = num_cores
         self.num_slices = num_slices
 
@@ -82,9 +81,6 @@ class Interconnect:
         self.backpressure_rejects = 0
 
     # -- request path ------------------------------------------------------------------
-    def slice_of(self, addr: int) -> int:
-        return self.address_map.slice_of(addr)
-
     def send_request(self, req: MemRequest, cycle: int) -> bool:
         """Inject a request; returns False under back-pressure."""
 

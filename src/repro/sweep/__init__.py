@@ -13,7 +13,7 @@ only simulates what is missing.
 """
 
 from repro.sweep.executor import PointOutcome, SweepReport, run_sweep
-from repro.sweep.spec import Grid, ScenarioPoint, SweepPoint, fig9_spec
+from repro.sweep.spec import Grid, ScenarioPoint, SweepPoint
 from repro.sweep.store import ResultStore, StoreRecord
 
 __all__ = [
@@ -24,6 +24,5 @@ __all__ = [
     "StoreRecord",
     "SweepPoint",
     "SweepReport",
-    "fig9_spec",
     "run_sweep",
 ]

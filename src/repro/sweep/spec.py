@@ -25,12 +25,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import ConfigError
 from repro.config.policies import PolicyConfig
-from repro.config.presets import FIG9_L2_MIB, FIG9_SEQ_LEN
-from repro.config.scale import ScaleTier
 from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
 from repro.dataflow.constraints import DataflowConstraints
@@ -280,26 +278,3 @@ FIG9_POLICY_LABELS = (
     "dynmg+cobrra",
     "dynmg+BMA",
 )
-
-
-def fig9_spec(
-    tier: ScaleTier = ScaleTier.CI,
-    models: Iterable[str] = ("llama3-70b", "llama3-405b"),
-    seq_len: int = FIG9_SEQ_LEN,
-    l2_mib: Iterable[int] = FIG9_L2_MIB,
-    policies: Iterable[str] = FIG9_POLICY_LABELS,
-    max_cycles: int | None = None,
-) -> Grid:
-    """The Fig 9 cache-size sweep as a grid (the CLI default)."""
-
-    from repro.api import Scenario  # deferred: repro.api consumes this module
-
-    base = Scenario(workload="llama3-70b", seq_len=seq_len, tier=tier, max_cycles=max_cycles)
-    return Grid(
-        base,
-        (
-            ("workload", tuple(models)),
-            ("l2_mib", tuple(l2_mib)),
-            ("policy", tuple(policies)),
-        ),
-    ).validate()

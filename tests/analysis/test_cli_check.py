@@ -77,8 +77,8 @@ class TestMetaCleanliness:
     def test_full_default_scope_is_clean(self):
         assert check_paths(["src", "tests", "examples"]) == []
 
-    def test_benchmarks_and_conftest_are_clean(self):
-        assert check_paths(["benchmarks", "conftest.py"]) == []
+    def test_root_conftest_is_clean(self):
+        assert check_paths(["conftest.py"]) == []
 
     def test_all_rules_ran(self):
         # Guard against the meta-test passing because rules failed to load.

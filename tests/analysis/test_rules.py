@@ -55,12 +55,12 @@ class TestRuleScoping:
             for f in check_source(source, path="src/repro/common/other.py")
         )
 
-    def test_det002_allows_profile_and_benchmarks(self):
+    def test_det002_allows_only_profile(self):
         source = "import time\n\n\ndef f():\n    return time.perf_counter()\n"
         assert check_source(source, path="src/repro/obs/profile.py") == []
-        assert check_source(source, path="benchmarks/bench_thing.py") == []
-        findings = check_source(source, path="src/repro/serve/thing.py")
-        assert [f.code for f in findings] == ["DET002"]
+        for path in ("src/repro/serve/thing.py", "benchmarks/bench_thing.py"):
+            findings = check_source(source, path=path)
+            assert [f.code for f in findings] == ["DET002"]
 
     def test_det002_tracks_time_alias(self):
         source = "import time as clock\n\n\ndef f():\n    return clock.monotonic()\n"

@@ -14,7 +14,7 @@ from repro.bench.runner import run_bench, run_benches
 from repro.common.errors import ConfigError
 from repro.config.scale import ScaleTier
 
-#: Every benchmark the pytest wrappers under benchmarks/ used to hand-roll.
+#: Every registered benchmark: one per paper artifact or serving scenario.
 EXPECTED_BENCHES = {
     "serve_throughput",
     "cluster_throughput",
@@ -29,6 +29,7 @@ EXPECTED_BENCHES = {
     "table4_incore_sweep",
     "table5_config",
     "hwcost_area",
+    "kv_preemption",
 }
 
 
@@ -52,7 +53,7 @@ def counting_bench():
 
 
 class TestRegistry:
-    def test_all_thirteen_benches_registered(self):
+    def test_all_fourteen_benches_registered(self):
         assert EXPECTED_BENCHES <= set(bench_names())
 
     def test_resolve_returns_the_callable(self, counting_bench):
@@ -65,24 +66,6 @@ class TestRegistry:
             resolve_bench("warp-drive")
 
 
-class TestBenchOutput:
-    def test_value_of_finds_metric(self):
-        output = BenchOutput(
-            bench="b", config={}, values=(BenchValue("tokens_per_s", 5.0, "tokens/s"),)
-        )
-        assert output.value_of("tokens_per_s") == 5.0
-
-    def test_value_of_unknown_metric_lists_available(self):
-        output = BenchOutput(bench="b", config={}, values=(BenchValue("a", 1.0, ""),))
-        with pytest.raises(KeyError, match="'a'"):
-            output.value_of("z")
-
-    def test_raw_is_excluded_from_equality(self):
-        a = BenchOutput(bench="b", config={}, values=(), raw=object())
-        b = BenchOutput(bench="b", config={}, values=(), raw=object())
-        assert a == b
-
-
 class TestRunner:
     def test_warmup_runs_are_untimed_but_executed(self, counting_bench):
         run = run_bench("counting", warmup=2, repeat=3)
@@ -90,7 +73,8 @@ class TestRunner:
         assert (run.warmup, run.repeat) == (2, 3)
         assert run.wall_s >= 0.0
         # The reported output is from a timed run, after the warmups.
-        assert run.output.value_of("calls") >= 3.0
+        (calls,) = run.output.values
+        assert calls.value >= 3.0
 
     def test_records_carry_one_row_per_value(self, counting_bench):
         run = run_bench("counting", repeat=1)

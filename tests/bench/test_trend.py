@@ -1,4 +1,4 @@
-"""Trend files: schema, legacy migration, append semantics, regression gating."""
+"""Trend files: schema, append semantics, regression gating."""
 
 import json
 
@@ -77,30 +77,6 @@ class TestLoadAndWrite:
         values = [r.value for r in load_trend(path)]
         assert values == [1.0, 2.0]
 
-    def test_legacy_single_object_shape_migrates_on_read(self, tmp_path):
-        # The PR-6 conftest wrote one {bench, config, tokens_per_s, wall_s} dict.
-        path = tmp_path / "BENCH_serve.json"
-        path.write_text(json.dumps({
-            "bench": "serve",
-            "config": {"workload": "llama3-70b"},
-            "tokens_per_s": 82226.5,
-            "wall_s": 12.5,
-        }))
-        (migrated,) = load_trend(path)
-        assert migrated.metric == "tokens_per_s"
-        assert migrated.value == 82226.5
-        assert migrated.unit == "tokens/s"
-        assert migrated.config == {"workload": "llama3-70b"}
-
-    def test_append_migrates_legacy_file_in_place(self, tmp_path):
-        path = tmp_path / "BENCH_serve.json"
-        path.write_text(json.dumps({"bench": "serve", "tokens_per_s": 5.0, "wall_s": 1.0}))
-        append_trend(path, [record(bench="serve", value=6.0)])
-        loaded = load_trend(path)
-        assert [r.value for r in loaded] == [5.0, 6.0]
-        # And the file on disk is now the list-of-records shape.
-        assert isinstance(json.loads(path.read_text()), list)
-
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "BENCH_bad.json"
         path.write_text("{not json")
@@ -109,9 +85,12 @@ class TestLoadAndWrite:
 
     def test_unknown_dict_shape_rejected(self, tmp_path):
         path = tmp_path / "BENCH_bad.json"
-        path.write_text(json.dumps({"bench": "bad"}))
-        with pytest.raises(ConfigError, match="legacy"):
-            load_trend(path)
+        # Any single object is rejected, including the retired
+        # {bench, config, tokens_per_s, wall_s} shape.
+        for payload in ({"bench": "bad"}, {"bench": "bad", "tokens_per_s": 5.0, "wall_s": 1.0}):
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ConfigError, match="must hold a JSON list"):
+                load_trend(path)
 
     def test_write_is_stable_text(self, tmp_path):
         path = write_trend(trend_path(tmp_path, "demo"), [record()])

@@ -6,11 +6,16 @@ from hypothesis import given, strategies as st
 from repro.common.fifo import BoundedFifo
 
 
+def filled(capacity, items):
+    fifo = BoundedFifo(capacity)
+    for item in items:
+        assert fifo.push(item)
+    return fifo
+
+
 class TestBasicOperations:
     def test_new_fifo_is_empty(self):
         fifo = BoundedFifo(4)
-        assert fifo.empty
-        assert not fifo.full
         assert len(fifo) == 0
         assert not fifo
 
@@ -18,13 +23,12 @@ class TestBasicOperations:
         fifo = BoundedFifo(8)
         for i in range(5):
             assert fifo.push(i)
-        assert [fifo.pop() for _ in range(5)] == [0, 1, 2, 3, 4]
+        assert [fifo.pop_index(0) for _ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_push_beyond_capacity_is_rejected(self):
         fifo = BoundedFifo(2)
         assert fifo.push("a")
         assert fifo.push("b")
-        assert fifo.full
         assert not fifo.push("c")
         assert len(fifo) == 2
 
@@ -34,12 +38,6 @@ class TestBasicOperations:
         with pytest.raises(ValueError):
             BoundedFifo(-3)
 
-    def test_free_slots(self):
-        fifo = BoundedFifo(3)
-        assert fifo.free_slots == 3
-        fifo.push(1)
-        assert fifo.free_slots == 2
-
     def test_peek_does_not_remove(self):
         fifo = BoundedFifo(4)
         fifo.push(10)
@@ -48,29 +46,20 @@ class TestBasicOperations:
         assert fifo.peek(1) == 20
         assert len(fifo) == 2
 
-    def test_clear(self):
-        fifo = BoundedFifo(4)
-        fifo.extend([1, 2, 3])
-        fifo.clear()
-        assert fifo.empty
-
 
 class TestPopIndex:
-    def test_pop_index_zero_equals_pop(self):
-        fifo = BoundedFifo(4)
-        fifo.extend([1, 2, 3])
+    def test_pop_index_zero_takes_the_oldest(self):
+        fifo = filled(4, [1, 2, 3])
         assert fifo.pop_index(0) == 1
         assert list(fifo) == [2, 3]
 
     def test_pop_middle_preserves_relative_order(self):
-        fifo = BoundedFifo(8)
-        fifo.extend(list(range(6)))
+        fifo = filled(8, range(6))
         assert fifo.pop_index(3) == 3
         assert list(fifo) == [0, 1, 2, 4, 5]
 
     def test_pop_last(self):
-        fifo = BoundedFifo(8)
-        fifo.extend([7, 8, 9])
+        fifo = filled(8, [7, 8, 9])
         assert fifo.pop_index(2) == 9
         assert list(fifo) == [7, 8]
 
@@ -83,18 +72,6 @@ class TestPopIndex:
             fifo.pop_index(-1)
 
 
-class TestStatsAndSearch:
-    def test_extend_reports_accepted_count(self):
-        fifo = BoundedFifo(3)
-        assert fifo.extend(range(10)) == 3
-
-    def test_find_returns_first_match_index(self):
-        fifo = BoundedFifo(8)
-        fifo.extend([5, 6, 7, 6])
-        assert fifo.find(lambda x: x == 6) == 1
-        assert fifo.find(lambda x: x == 99) is None
-
-
 @given(st.lists(st.integers(), max_size=50), st.integers(min_value=1, max_value=16))
 def test_property_fifo_order_and_capacity(items, capacity):
     """Whatever is accepted comes out in insertion order, never above capacity."""
@@ -105,7 +82,7 @@ def test_property_fifo_order_and_capacity(items, capacity):
         if fifo.push(item):
             accepted.append(item)
         assert len(fifo) <= capacity
-    popped = [fifo.pop() for _ in range(len(fifo))]
+    popped = [fifo.pop_index(0) for _ in range(len(fifo))]
     assert popped == accepted[: len(popped)]
     assert len(accepted) == min(len(items), capacity)
 
@@ -115,8 +92,7 @@ def test_property_fifo_order_and_capacity(items, capacity):
     st.integers(min_value=0, max_value=19),
 )
 def test_property_pop_index_removes_exactly_one(items, index):
-    fifo = BoundedFifo(32)
-    fifo.extend(items)
+    fifo = filled(32, items)
     if index >= len(items):
         with pytest.raises(IndexError):
             fifo.pop_index(index)

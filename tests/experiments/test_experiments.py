@@ -1,7 +1,8 @@
 """Smoke tests for the figure/table harnesses on very small configurations.
 
 These use custom (tiny) sequence lengths so the whole module stays fast; the
-full paper-shaped sweeps live in ``benchmarks/``.
+full paper-shaped sweeps run as the registered benches of
+:mod:`repro.bench.suite`.
 """
 
 from __future__ import annotations

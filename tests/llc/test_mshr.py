@@ -94,14 +94,6 @@ class TestSnapshot:
         assert mshr.pending_lines() is snapshot
         assert isinstance(snapshot, frozenset)
 
-    def test_can_merge(self):
-        mshr = MshrFile(4, 2)
-        mshr.reserve(req(0x100), 0)
-        assert mshr.can_merge(0x100)
-        mshr.reserve(req(0x100), 0)
-        assert not mshr.can_merge(0x100)
-        assert not mshr.can_merge(0x999)
-
 
 class TestOccupancyAccounting:
     def test_average_occupancy_simple(self):

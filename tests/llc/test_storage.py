@@ -77,14 +77,7 @@ class TestDirtiness:
         assert storage.dirty_evictions == 0
 
 
-class TestInvalidateAndInspection:
-    def test_invalidate(self):
-        storage = make_storage()
-        storage.fill(0x1000)
-        assert storage.invalidate(0x1000)
-        assert not storage.contains(0x1000)
-        assert not storage.invalidate(0x1000)
-
+class TestInspection:
     def test_capacity_and_occupancy(self):
         storage = make_storage(num_sets=4, assoc=2)
         assert storage.capacity_lines == 8

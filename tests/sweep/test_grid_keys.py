@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro.api import ClusterScenario, Scenario, ServeScenario
+from repro.config.presets import FIG9_L2_MIB, FIG9_SEQ_LEN
 from repro.config.scale import ScaleTier
-from repro.sweep.spec import Grid, fig9_spec
+from repro.sweep.spec import FIG9_POLICY_LABELS, Grid
 
 FIXTURE = Path(__file__).parents[1] / "golden" / "sweep_grid_keys.json"
 
@@ -51,7 +52,15 @@ GRIDS = {
         Scenario(workload="llama3-70b", seq_len=2048, tier=ScaleTier.CI),
         (("l2_mib", (16, 32)), ("policy", ("unopt", "dynmg+BMA"))),
     ),
-    "fig9_ci": lambda: fig9_spec(ScaleTier.CI),
+    # Fig 9's cache-size sweep: both models x the L2 sizes x the policy legend.
+    "fig9_ci": lambda: Grid(
+        Scenario(workload="llama3-70b", seq_len=FIG9_SEQ_LEN, tier=ScaleTier.CI),
+        (
+            ("workload", ("llama3-70b", "llama3-405b")),
+            ("l2_mib", FIG9_L2_MIB),
+            ("policy", FIG9_POLICY_LABELS),
+        ),
+    ),
     "serve_mixed": lambda: Grid(
         _serve(rate=1500.0, max_batch=2, telemetry_ms=2.0),
         (

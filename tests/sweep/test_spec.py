@@ -9,10 +9,8 @@ from repro.common.errors import ConfigError
 from repro.config.policies import PolicyConfig, ThrottleKind
 from repro.config.scale import ScaleTier
 from repro.sweep.spec import (
-    FIG9_POLICY_LABELS,
     Grid,
     SweepPoint,
-    fig9_spec,
     workload_for,
 )
 
@@ -73,11 +71,6 @@ class TestGridExpansion:
         grid = kernel_grid()
         assert grid.num_points == 1
         assert grid.scenarios() == (grid.base,)
-
-    def test_fig9_spec_matches_paper_grid(self):
-        grid = fig9_spec(tier=ScaleTier.CI)
-        assert grid.num_points == 2 * 3 * 1 * len(FIG9_POLICY_LABELS)
-        assert len(grid.expand()) == grid.num_points
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError, match="must be non-empty"):

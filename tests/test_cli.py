@@ -635,6 +635,34 @@ class TestBenchCommand:
         assert "bench steady" in out
         assert load_trend(trend_path(tmp_path, "steady"))
 
+    def test_missed_expectation_fails_the_bench(self, capsys, tmp_path, monkeypatch):
+        from repro.bench.trend import trend_path
+        from repro.experiments import fig7
+
+        def out_of_range(tier, models):
+            return fig7.Fig7Result(
+                panel="arbitration",
+                tier=tier,
+                seq_lens=(4096,),
+                speedups={
+                    model: {"cobrra": [1.0], "B": [1.1], "MA": [1.2], "BMA": [2.5]}
+                    for model in models
+                },
+            )
+
+        monkeypatch.setattr(fig7, "run_fig7_arbitration", out_of_range)
+        code = main(
+            ["bench", "--bench", "fig7_arbitration", "--tier", "smoke",
+             "--root", str(tmp_path)]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert (
+            "FAILED fig7_arbitration: SimulationError: fig7_arbitration expected "
+            "llama3-70b BMA speedups in (0.5, 2.0), got [2.5]"
+        ) in out
+        assert not trend_path(tmp_path, "fig7_arbitration").exists()
+
     def test_run_appends_schema_valid_trend_records(self, capsys, tmp_path):
         from repro.bench.trend import load_trend, trend_path, validate_trends
 
