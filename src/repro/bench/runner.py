@@ -64,6 +64,15 @@ class BenchRun:
         return "\n".join(lines)
 
 
+def check_timing(warmup: int, repeat: int) -> None:
+    """Reject a warmup/repeat pair no bench can run with."""
+
+    if repeat < 1:
+        raise ConfigError(f"bench repeat must be >= 1, got {repeat}")
+    if warmup < 0:
+        raise ConfigError(f"bench warmup must be >= 0, got {warmup}")
+
+
 def run_bench(
     name: str,
     tier: ScaleTier = ScaleTier.CI,
@@ -72,10 +81,7 @@ def run_bench(
 ) -> BenchRun:
     """Run the bench registered under ``name`` with warmup/repeat timing."""
 
-    if repeat < 1:
-        raise ConfigError(f"bench repeat must be >= 1, got {repeat}")
-    if warmup < 0:
-        raise ConfigError(f"bench warmup must be >= 0, got {warmup}")
+    check_timing(warmup, repeat)
     fn = resolve_bench(name)
     for _ in range(warmup):
         fn(tier)

@@ -53,7 +53,7 @@ from repro.analysis import (
 from repro.api import Scenario
 from repro.bench.registry import BENCHES, bench_names, resolve_bench
 from repro.bench.report import render_report
-from repro.bench.runner import run_bench
+from repro.bench.runner import check_timing, run_bench
 from repro.bench.trend import (
     append_trend,
     compare_trends,
@@ -678,15 +678,15 @@ def _bench_command(args: argparse.Namespace) -> int:
         print(comparison.render())
         return 0 if comparison.ok else 1
     names = list(args.benches or bench_names())
+    # Unknown names and bad timing knobs are usage errors, not bench failures.
     for name in names:
-        resolve_bench(name)  # an unknown name is a usage error, not a bench failure
+        resolve_bench(name)
+    check_timing(args.warmup, args.repeat)
     tier = parse_tier(args.tier)
     failed: list[str] = []
     for name in names:
         try:
             run = run_bench(name, tier=tier, warmup=args.warmup, repeat=args.repeat)
-        except ConfigError:
-            raise
         except Exception as exc:  # one failing bench must not silence the rest
             failed.append(name)
             print(f"FAILED {name}: {type(exc).__name__}: {exc}")

@@ -191,13 +191,6 @@ class DramConfig:
     controller_overhead_ns: float = 55.0
 
     @property
-    def lines_per_burst(self) -> int:
-        """Bytes transferred per burst divided by a 64B line (>=1)."""
-
-        burst_bytes = self.burst_length * self.channel_width_bits // 8
-        return max(1, burst_bytes // 64)
-
-    @property
     def peak_bandwidth_gbps(self) -> float:
         """Aggregate peak bandwidth over all channels in GB/s."""
 

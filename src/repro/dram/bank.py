@@ -43,6 +43,3 @@ class BankArray:
             state = BankState()
             self.banks[key] = state
         return state
-
-    def all_banks(self) -> list[BankState]:
-        return list(self.banks.values())

@@ -86,9 +86,6 @@ class SlicedLLC:
         self.num_cores = num_cores
 
     # -- routing -----------------------------------------------------------------------
-    def slice_of(self, addr: int) -> int:
-        return self.address_map.slice_of(addr)
-
     def slice_sinks(self):
         """Per-slice request sinks handed to the interconnect."""
 

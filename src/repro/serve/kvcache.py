@@ -15,7 +15,11 @@ the three pieces of that model:
   block_tokens`` fixed-size blocks, a request holding ``t`` tokens pins
   ``ceil(t / block_tokens)`` blocks, and the tokens rounded up to the block
   boundary are *internal fragmentation* the manager tracks.  ``block_tokens=1``
-  is exact token-granular accounting (no fragmentation).
+  is exact token-granular accounting (no fragmentation).  The serving loop
+  reads its totals every step, so they are kept as fields, not recomputed:
+  ``used_blocks`` and ``pinned_tokens`` (the sums over ``blocks`` and
+  ``tokens``) and the two peaks are brought up to date by :meth:`reserve`,
+  :meth:`grow` and :meth:`release`, and nothing else writes them.
 * :data:`PREEMPTIONS` registry entries -- what to do with a victim when the
   running batch needs KV blocks the device no longer has.  ``recompute`` drops
   the victim's KV and re-prefills its whole context on re-admission (cheap
@@ -105,7 +109,13 @@ class KVCacheConfig:
 
 @dataclass(slots=True)
 class KVCacheManager:
-    """Paged per-request KV block allocation against a fixed device budget."""
+    """Paged per-request KV block allocation against a fixed device budget.
+
+    ``used_blocks`` and ``pinned_tokens`` are the running sums of ``blocks``
+    and ``tokens``, and the two peaks are checked against them whenever an
+    operation could raise one.  Only :meth:`reserve`, :meth:`grow` and
+    :meth:`release` write these fields.
+    """
 
     config: KVCacheConfig
     #: Tokens of KV state currently pinned, per admitted request id.
@@ -113,19 +123,22 @@ class KVCacheManager:
     #: Blocks backing those tokens, per admitted request id.
     blocks: dict = field(default_factory=dict, init=False)
     used_blocks: int = field(default=0, init=False)
+    #: Sum of ``tokens``: the KV state pinned across every admitted request.
+    pinned_tokens: int = field(default=0, init=False)
     #: High-water marks over the run (utilization is a block fraction;
     #: fragmentation is block-padding waste as a fraction of the budget).
     peak_used_blocks: int = field(default=0, init=False)
     peak_fragmentation_tokens: int = field(default=0, init=False)
+    #: The config's block size and whole-block capacity, fixed at creation.
+    block_tokens: int = field(default=0, init=False)
+    capacity_blocks: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not self.config.enabled:
             raise ConfigError("KVCacheManager needs a finite budget_tokens")
         self.config.validate()
-
-    @property
-    def capacity_blocks(self) -> int:
-        return self.config.capacity_blocks
+        self.block_tokens = self.config.block_tokens
+        self.capacity_blocks = self.config.capacity_blocks
 
     @property
     def free_blocks(self) -> int:
@@ -134,49 +147,53 @@ class KVCacheManager:
     def blocks_for(self, tokens: int) -> int:
         """Blocks needed to hold ``tokens`` of KV state (ceiling division)."""
 
-        return -(-tokens // self.config.block_tokens)
+        return -(-tokens // self.block_tokens)
 
     def fits(self, tokens: int) -> bool:
         """Whether a new request pinning ``tokens`` fits the free blocks."""
 
-        return self.blocks_for(tokens) <= self.free_blocks
-
-    def growth_blocks(self, request_id: int, tokens: int) -> int:
-        """Extra blocks request ``request_id`` needs to reach ``tokens``."""
-
-        return max(0, self.blocks_for(tokens) - self.blocks.get(request_id, 0))
+        return -(-tokens // self.block_tokens) <= self.capacity_blocks - self.used_blocks
 
     def reserve(self, request_id: int, tokens: int) -> None:
         """Pin ``tokens`` of KV for a newly admitted request."""
 
         if request_id in self.tokens:
             raise SimulationError(f"request {request_id} already holds KV blocks")
-        need = self.blocks_for(tokens)
-        if need > self.free_blocks:
+        need = -(-tokens // self.block_tokens)
+        free = self.capacity_blocks - self.used_blocks
+        if need > free:
             raise SimulationError(
                 f"KV reservation of {need} blocks for request {request_id} "
-                f"exceeds the {self.free_blocks} free (admission must gate on fits())"
+                f"exceeds the {free} free (admission must gate on fits())"
             )
         self.tokens[request_id] = tokens
         self.blocks[request_id] = need
         self.used_blocks += need
+        self.pinned_tokens += tokens
         self._observe()
 
     def grow(self, request_id: int, tokens: int) -> None:
         """Grow an admitted request's pinned KV to ``tokens`` (decode growth)."""
 
-        if request_id not in self.tokens:
+        held = self.tokens.get(request_id)
+        if held is None:
             raise SimulationError(f"request {request_id} holds no KV to grow")
-        delta = self.blocks_for(tokens) - self.blocks[request_id]
-        if delta > self.free_blocks:
+        blocks = self.blocks
+        delta = -(-tokens // self.block_tokens) - blocks[request_id]
+        if delta > self.capacity_blocks - self.used_blocks:
             raise SimulationError(
                 f"KV growth of {delta} blocks for request {request_id} exceeds "
                 f"the {self.free_blocks} free (the scheduler must preempt first)"
             )
         self.tokens[request_id] = tokens
-        self.blocks[request_id] += delta
-        self.used_blocks += delta
-        self._observe()
+        self.pinned_tokens += tokens - held
+        if delta:
+            blocks[request_id] += delta
+            self.used_blocks += delta
+            self._observe()
+        elif tokens < held:
+            # Same blocks, fewer tokens: only the padding waste can rise.
+            self._observe()
 
     def release(self, request_id: int) -> None:
         """Free every block a request holds (finish, handoff or preemption)."""
@@ -184,12 +201,15 @@ class KVCacheManager:
         if request_id not in self.tokens:
             raise SimulationError(f"request {request_id} holds no KV to release")
         self.used_blocks -= self.blocks.pop(request_id)
-        del self.tokens[request_id]
+        self.pinned_tokens -= self.tokens.pop(request_id)
 
     def _observe(self) -> None:
-        self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
-        waste = self.used_blocks * self.config.block_tokens - sum(self.tokens.values())
-        self.peak_fragmentation_tokens = max(self.peak_fragmentation_tokens, waste)
+        used = self.used_blocks
+        if used > self.peak_used_blocks:
+            self.peak_used_blocks = used
+        waste = used * self.block_tokens - self.pinned_tokens
+        if waste > self.peak_fragmentation_tokens:
+            self.peak_fragmentation_tokens = waste
 
     @property
     def peak_utilization(self) -> float:

@@ -370,10 +370,6 @@ class ServeMetrics(RequestAggregates):
     def decodes_s(self) -> list[float]:
         return _spans_s(self.requests, "decode")
 
-    @property
-    def total_prompt_tokens(self) -> int:
-        return sum(r.prompt_tokens for r in self.requests)
-
     # -- formatting --------------------------------------------------------------------
     def headline_metrics(self) -> dict:
         out = {

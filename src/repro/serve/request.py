@@ -43,11 +43,6 @@ class Request:
             raise ConfigError(f"output_tokens must be positive, got {self.output_tokens}")
         return self
 
-    def context_at(self, generated: int) -> int:
-        """KV-cache length once ``generated`` output tokens have been produced."""
-
-        return self.prompt_tokens + generated
-
 
 class RequestSampler:
     """Draws per-request token budgets from a seeded RNG.

@@ -53,7 +53,7 @@ class StepPlan:
         if not self.decode and not self.prefill:
             raise ConfigError("a step plan must schedule some work")
         for active in self.decode:
-            if active.in_prefill:
+            if active.prefill_remaining > 0:
                 raise ConfigError(
                     f"request {active.request.request_id} planned for decode "
                     f"with {active.prefill_remaining} prompt tokens unprefilled"
@@ -80,7 +80,12 @@ class StepPlan:
     def decode_context(self) -> int:
         """The longest decode context in the planned batch."""
 
-        return max(active.context_tokens for active in self.decode)
+        longest = 0
+        for active in self.decode:
+            context = active.request.prompt_tokens + active.generated
+            if context > longest:
+                longest = context
+        return longest
 
     def trace_args(self, seq_bucket_floor: int) -> dict:
         """The plan's composition as trace-event args (for step spans).
@@ -118,8 +123,10 @@ class SchedulerPolicy:
 def _split_phases(
     running: Sequence[ActiveRequest],
 ) -> tuple[list[ActiveRequest], list[ActiveRequest]]:
-    decode_ready = [a for a in running if not a.in_prefill]
-    prefilling = [a for a in running if a.in_prefill]
+    decode_ready: list[ActiveRequest] = []
+    prefilling: list[ActiveRequest] = []
+    for active in running:
+        (prefilling if active.prefill_remaining > 0 else decode_ready).append(active)
     return decode_ready, prefilling
 
 
@@ -177,15 +184,19 @@ class ChunkedPrefillPolicy(SchedulerPolicy):
         self.prefill_chunk = int(prefill_chunk)
 
     def plan(self, running: Sequence[ActiveRequest]) -> StepPlan:
-        decode_ready, prefilling = _split_phases(running)
-        budget = self.prefill_chunk
+        # One pass splits the phases and spends the budget FCFS, since
+        # ``running`` is in admission order.
+        decode_ready: list[ActiveRequest] = []
         chunks: list[tuple[ActiveRequest, int]] = []
-        for active in prefilling:
-            if budget <= 0:
-                break
-            chunk = min(active.prefill_remaining, budget)
-            chunks.append((active, chunk))
-            budget -= chunk
+        budget = self.prefill_chunk
+        for active in running:
+            remaining = active.prefill_remaining
+            if remaining <= 0:
+                decode_ready.append(active)
+            elif budget > 0:
+                chunk = min(remaining, budget)
+                chunks.append((active, chunk))
+                budget -= chunk
         return StepPlan(decode=tuple(decode_ready), prefill=tuple(chunks)).validate()
 
     def meta(self) -> dict:

@@ -45,11 +45,11 @@ def bucket_context(context_tokens: int, floor: int = SEQ_BUCKET_FLOOR) -> int:
 
     if floor <= 0:
         raise ConfigError(f"bucket floor must be positive, got {floor}")
-    size = max(int(context_tokens), floor)
-    bucket = floor
-    while bucket < size:
-        bucket *= 2
-    return bucket
+    size = int(context_tokens)
+    if size <= floor:
+        return floor
+    # floor * 2**k for the least k with floor * 2**k >= size.
+    return floor << (-(-size // floor) - 1).bit_length()
 
 
 @dataclass(slots=True)
@@ -94,11 +94,9 @@ class ActiveRequest:
 
     @property
     def context_tokens(self) -> int:
-        return self.request.context_at(self.generated)
+        """KV-cache length: the prompt plus every output token generated."""
 
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.request.output_tokens
+        return self.request.prompt_tokens + self.generated
 
 
 @dataclass(slots=True)
@@ -221,17 +219,6 @@ class ContinuousBatchScheduler:
 
         insort(self.waiting, request, key=lambda r: (r.arrival_s, r.request_id))
 
-    def _kv_demand(self, entry) -> tuple[int, int]:
-        """``(tokens now, lifetime peak tokens)`` KV footprint of an entry."""
-
-        if isinstance(entry, HandoffRequest):
-            active = entry.active
-            return (
-                active.context_tokens,
-                active.request.prompt_tokens + active.request.output_tokens,
-            )
-        return entry.prompt_tokens, entry.prompt_tokens + entry.output_tokens
-
     def admit(self, now_s: float) -> list[ActiveRequest]:
         """Admit waiting requests with ``arrival_s <= now_s`` into free slots.
 
@@ -243,23 +230,32 @@ class ContinuousBatchScheduler:
 
         admitted: list[ActiveRequest] = []
         self.kv_blocked = False
-        while self.waiting and len(self.running) < self.config.max_batch:
-            entry = self.waiting[0]
+        waiting, running, kv = self.waiting, self.running, self.kv
+        max_batch = self.config.max_batch
+        while waiting and len(running) < max_batch:
+            entry = waiting[0]
             if entry.arrival_s > now_s:
                 break
-            if self.kv is not None:
-                tokens_now, tokens_peak = self._kv_demand(entry)
-                if self.kv.blocks_for(tokens_peak) > self.kv.capacity_blocks:
+            if kv is not None:
+                # The entry's KV footprint now and at its last output token.
+                if isinstance(entry, HandoffRequest):
+                    request = entry.active.request
+                    tokens_now = entry.active.context_tokens
+                else:
+                    request = entry
+                    tokens_now = entry.prompt_tokens
+                peak_blocks = kv.blocks_for(request.prompt_tokens + request.output_tokens)
+                if peak_blocks > kv.capacity_blocks:
                     raise ConfigError(
-                        f"request {entry.request_id} needs "
-                        f"{self.kv.blocks_for(tokens_peak)} KV blocks at peak but "
-                        f"the device budget is {self.kv.capacity_blocks} blocks "
+                        f"request {entry.request_id} needs {peak_blocks} KV "
+                        f"blocks at peak but the device budget is "
+                        f"{kv.capacity_blocks} blocks "
                         f"({self.config.kv.budget_tokens} tokens)"
                     )
-                if not self.kv.fits(tokens_now):
+                if not kv.fits(tokens_now):
                     self.kv_blocked = True
                     break
-            self.waiting.pop(0)
+            del waiting[0]
             if isinstance(entry, HandoffRequest):
                 # Resume the prior progress record: admission and prefill
                 # timestamps describe the request's first admission.
@@ -270,9 +266,9 @@ class ContinuousBatchScheduler:
                     admitted_s=now_s,
                     prefill_remaining=entry.prompt_tokens if self.config.prefill else 0,
                 )
-            if self.kv is not None:
-                self.kv.reserve(active.request.request_id, active.context_tokens)
-            self.running.append(active)
+            if kv is not None:
+                kv.reserve(active.request.request_id, active.context_tokens)
+            running.append(active)
             admitted.append(active)
         return admitted
 
@@ -288,25 +284,32 @@ class ContinuousBatchScheduler:
         policy's re-admission time.  Returns the victims (newest first).
         """
 
-        if self.kv is None:
+        kv = self.kv
+        if kv is None:
             return []
         preempted: list[ActiveRequest] = []
+        running = self.running
+        block_tokens, blocks = kv.block_tokens, kv.blocks
         while True:
-            needed = sum(
-                self.kv.growth_blocks(a.request.request_id, a.context_tokens + 1)
-                for a in self.running
-                if not a.in_prefill
-            )
-            if needed <= self.kv.free_blocks:
+            # Blocks the decode-ready requests need to grow by one token.
+            needed = 0
+            for a in running:
+                if a.prefill_remaining <= 0:
+                    request = a.request
+                    grow = -(-(request.prompt_tokens + a.generated + 1) // block_tokens)
+                    grow -= blocks.get(request.request_id, 0)
+                    if grow > 0:
+                        needed += grow
+            if needed <= kv.capacity_blocks - kv.used_blocks:
                 return preempted
-            if len(self.running) <= 1:
+            if len(running) <= 1:
                 # Unreachable given the admission-time peak-footprint guard:
                 # a lone request's one-block growth always fits.
                 raise SimulationError(
                     "sole running request cannot grow within the KV budget"
                 )
-            victim = self.running.pop()
-            self.kv.release(victim.request.request_id)
+            victim = running.pop()
+            kv.release(victim.request.request_id)
             self.preemptions += 1
             assert self.preemption is not None
             readmit_s = self.preemption.preempt(victim, now_s)
@@ -322,11 +325,13 @@ class ContinuousBatchScheduler:
     def evict_finished(self, now_s: float) -> list[ActiveRequest]:
         """Remove requests whose output budget is exhausted; stamp finish time."""
 
-        finished = [a for a in self.running if a.done]
-        for active in finished:
-            active.finish_s = now_s
-            self.release_kv(active)
-        self.running = [a for a in self.running if not a.done]
+        running = self.running
+        finished = [a for a in running if a.generated >= a.request.output_tokens]
+        if finished:
+            for active in finished:
+                active.finish_s = now_s
+                self.release_kv(active)
+            self.running = [a for a in running if a.generated < a.request.output_tokens]
         return finished
 
     def batch_shape(self) -> tuple[int, int]:

@@ -199,10 +199,12 @@ def complete_step(
             # prompt was first fully processed (metrics validation orders it
             # before first_token_s).
             active.prefill_end_s = end_s
+    kv = scheduler.kv
     for active in plan.decode:
-        active.generated += 1
-        if scheduler.kv is not None:
-            scheduler.kv.grow(active.request.request_id, active.context_tokens)
+        generated = active.generated = active.generated + 1
+        if kv is not None:
+            request = active.request
+            kv.grow(request.request_id, request.prompt_tokens + generated)
         if active.first_token_s is None:
             active.first_token_s = end_s
     finished = []
@@ -527,16 +529,19 @@ def run_loop(
         # Launch steps on every idle replica with admissible work, and find
         # the next event in the same pass: a step end, or an idle replica's
         # future re-admission (a swap-preempted request waiting out its
-        # transfer is an event source too).
+        # transfer is an event source too).  A busy replica's next event is
+        # its step end, so only idle replicas are asked to start a step.
         next_s = math.inf
         for replica in replicas:
-            if replica.maybe_start_step(now_s):
-                launched += 1
             event_s = replica.step_end_s
             if event_s is None:
-                event_s = replica.scheduler.next_arrival_s()
-                if event_s is None or event_s <= now_s:
-                    continue
+                if replica.maybe_start_step(now_s):
+                    launched += 1
+                event_s = replica.step_end_s
+                if event_s is None:
+                    event_s = replica.scheduler.next_arrival_s()
+                    if event_s is None or event_s <= now_s:
+                        continue
             if event_s < next_s:
                 next_s = event_s
         if disaggregated:

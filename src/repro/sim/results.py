@@ -98,10 +98,6 @@ class SimResult:
         slices = max(1, self.meta.get("num_slices", 1))
         return safe_div(self.llc.stall_cycles, self.cycles * slices)
 
-    @property
-    def requests_per_cycle(self) -> float:
-        return safe_div(self.llc.accesses, self.cycles)
-
     def speedup_over(self, baseline: "SimResult") -> float:
         """Speedup of this run relative to ``baseline`` (same workload)."""
 

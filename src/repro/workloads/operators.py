@@ -29,9 +29,6 @@ class IterationSpace:
     l: int
     d: int
 
-    def total_points(self) -> int:
-        return self.h * self.g * self.l * self.d
-
 
 class DecodeOperator:
     """Base class for decode operators; concrete classes bind tensor roles."""

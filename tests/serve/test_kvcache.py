@@ -4,12 +4,13 @@ import pytest
 
 from repro.cluster.scenario import ClusterScenario
 from repro.common.errors import ConfigError, LivelockError, SimulationError
+from repro.common.rng import make_rng
 from repro.config.scale import ScaleTier
 from repro.registry import PREEMPTIONS, resolve_system
 from repro.serve.kvcache import DEFAULT_SWAP_MS, KVCacheConfig, KVCacheManager
 from repro.serve.request import Request
 from repro.serve.scenario import ServeScenario
-from repro.serve.scheduler import BatchConfig, ContinuousBatchScheduler
+from repro.serve.scheduler import BatchConfig, ContinuousBatchScheduler, bucket_context
 from repro.serve.simulator import ServeStallReport, build_serve_stall_report
 
 
@@ -126,6 +127,97 @@ class TestKVCacheManager:
         manager = KVCacheManager(KVCacheConfig(budget_tokens=320, block_tokens=32))
         manager.reserve(0, 160)
         assert manager.peak_utilization == pytest.approx(0.5)
+
+
+def random_kv_ops(manager: KVCacheManager, seed: int, steps: int = 600):
+    """Apply a seeded mix of reserve, grow (up and down) and release.
+
+    Yields each applied operation as ``(op, request_id, tokens)``; a grow is
+    drawn around the request's current length, so it may add blocks, shrink
+    them, or stay within the same blocks with more or fewer tokens.
+    """
+
+    rng = make_rng(seed)
+    block = manager.block_tokens
+    next_id = 0
+    for _ in range(steps):
+        held = sorted(manager.tokens)
+        roll = int(rng.integers(10))
+        if not held or roll < 3:
+            tokens = int(rng.integers(1, 6 * block + 1))
+            if manager.fits(tokens):
+                manager.reserve(next_id, tokens)
+                yield "reserve", next_id, tokens
+                next_id += 1
+                continue
+            if not held:
+                continue
+            roll = 9  # no room: release instead
+        rid = held[int(rng.integers(len(held)))]
+        if roll < 8:
+            current = manager.tokens[rid]
+            tokens = max(1, current + int(rng.integers(-block - 2, 2 * block + 1)))
+            if manager.blocks_for(tokens) - manager.blocks[rid] > manager.free_blocks:
+                tokens = max(1, current - int(rng.integers(block + 1)))
+            manager.grow(rid, tokens)
+            yield "grow", rid, tokens
+        else:
+            manager.release(rid)
+            yield "release", rid, None
+
+
+def doubling_bucket(context_tokens: int, floor: int) -> int:
+    """``bucket_context`` as the doubling loop it replaced, kept as its oracle."""
+
+    size = max(int(context_tokens), floor)
+    bucket = floor
+    while bucket < size:
+        bucket *= 2
+    return bucket
+
+
+class TestRunningTotalsOracle:
+    """The manager's running totals and peaks against full recomputation."""
+
+    @pytest.mark.parametrize("block", [1, 7, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_totals_and_peaks_match_recomputation(self, block, seed):
+        manager = KVCacheManager(
+            KVCacheConfig(budget_tokens=40 * block + block // 2, block_tokens=block)
+        )
+        peak_used = peak_waste = 0
+        kinds = set()
+        for op, rid, tokens in random_kv_ops(manager, seed):
+            kinds.add(op)
+            pinned = sum(manager.tokens.values())
+            used = sum(manager.blocks.values())
+            assert manager.pinned_tokens == pinned, (op, rid, tokens)
+            assert manager.used_blocks == used, (op, rid, tokens)
+            assert all(
+                manager.blocks[r] == manager.blocks_for(t) for r, t in manager.tokens.items()
+            )
+            if op != "release":
+                # Recomputed the way every reserve and grow once did it.
+                peak_used = max(peak_used, used)
+                peak_waste = max(peak_waste, used * block - pinned)
+            assert manager.peak_used_blocks == peak_used, (op, rid, tokens)
+            assert manager.peak_fragmentation_tokens == peak_waste, (op, rid, tokens)
+        assert kinds == {"reserve", "grow", "release"}
+        assert manager.peak_used_blocks > 0
+        assert (manager.peak_fragmentation_tokens > 0) == (block > 1)
+
+    def test_shrink_within_the_same_blocks_raises_the_waste_peak(self):
+        manager = KVCacheManager(KVCacheConfig(budget_tokens=64, block_tokens=16))
+        manager.reserve(0, 16)                        # one full block: no waste
+        assert manager.peak_fragmentation_tokens == 0
+        manager.grow(0, 3)                            # same block, 13 padding
+        assert (manager.used_blocks, manager.pinned_tokens) == (1, 3)
+        assert manager.peak_fragmentation_tokens == 13
+
+    @pytest.mark.parametrize("floor", [1, 3, 16, 64, 100])
+    def test_bucket_context_matches_the_doubling_loop(self, floor):
+        for context in range(5001):
+            assert bucket_context(context, floor) == doubling_bucket(context, floor), context
 
 
 class TestAdmissionGating:

@@ -635,6 +635,41 @@ class TestBenchCommand:
         assert "bench steady" in out
         assert load_trend(trend_path(tmp_path, "steady"))
 
+    def test_rejected_scenario_fails_only_its_bench(self, capsys, tmp_path):
+        from repro.bench.registry import BENCHES, BenchOutput, BenchValue, register_bench
+        from repro.common.errors import ConfigError
+
+        @register_bench("rejected")
+        def rejected(tier):
+            raise ConfigError("kv budget of 8 tokens fits no 16-token block")
+
+        @register_bench("steady")
+        def steady(tier):
+            return BenchOutput(
+                bench="steady",
+                config={"tier": tier.name},
+                values=(BenchValue("ticks", 1.0, ""),),
+            )
+
+        try:
+            code = main(
+                ["bench", "--bench", "rejected", "--bench", "steady",
+                 "--tier", "smoke", "--root", str(tmp_path)]
+            )
+        finally:
+            BENCHES.unregister("rejected")
+            BENCHES.unregister("steady")
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAILED rejected: ConfigError: kv budget of 8 tokens" in out
+        assert "bench steady" in out
+        assert "1/2 benches failed: rejected" in out
+
+    def test_bad_repeat_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="repeat must be >= 1"):
+            main(["bench", "--bench", "table5_config", "--repeat", "0",
+                  "--root", str(tmp_path)])
+
     def test_missed_expectation_fails_the_bench(self, capsys, tmp_path, monkeypatch):
         from repro.bench.trend import trend_path
         from repro.experiments import fig7
