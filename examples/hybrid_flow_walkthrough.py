@@ -20,7 +20,7 @@ from repro import config
 from repro.config import ScaleTier, scale_system
 from repro.dataflow.analytical import analyze
 from repro.dataflow.mapper import build_mapping
-from repro.sim import simulate
+from repro.sim import Simulator
 from repro.trace.generator import generate_trace
 from repro.trace.stats import compute_trace_stats
 from repro.workloads.operators import make_operator
@@ -67,7 +67,7 @@ def main() -> None:
     print(f"  stall-free bound:     {estimate.stall_free_cycles}  (bottleneck: {estimate.bottleneck})")
 
     print("\n=== Stage 5: cycle-level simulation ===")
-    result = simulate(system, config.unoptimized(), trace=trace, label="unoptimized")
+    result = Simulator(system, config.unoptimized(), trace, label="unoptimized").run()
     print(f"  simulated cycles:     {result.cycles}")
     print(f"  vs stall-free bound:  {result.cycles / estimate.stall_free_cycles:.2f}x")
     print(f"  {result.summary()}")

@@ -17,7 +17,7 @@ import argparse
 
 from repro import config
 from repro.config import ScaleTier, policy_by_label, scale_experiment
-from repro.sim import compare_policies
+from repro.sim import run_policy
 
 POLICY_LABELS = [
     "unopt",
@@ -46,16 +46,19 @@ def main() -> None:
     )
     print(f"workload: {workload.describe()}  (tier={args.tier})")
 
-    policies = {label: policy_by_label(label) for label in POLICY_LABELS}
-    comparison = compare_policies(system, workload, policies, baseline_label="unopt")
+    results = {
+        label: run_policy(system, workload, policy_by_label(label), label=label)
+        for label in POLICY_LABELS
+    }
+    baseline = results["unopt"]
 
     print()
     header = f"{'policy':<12} {'cycles':>10} {'speedup':>8} {'L2 hit':>8} {'MSHR hit':>9} {'BW GB/s':>8}"
     print(header)
     print("-" * len(header))
-    for label, result in comparison.results.items():
+    for label, result in results.items():
         print(
-            f"{label:<12} {result.cycles:>10} {comparison.speedup(label):>8.3f} "
+            f"{label:<12} {result.cycles:>10} {result.speedup_over(baseline):>8.3f} "
             f"{result.l2_hit_rate:>8.2%} {result.mshr_hit_rate:>9.2%} "
             f"{result.dram_bandwidth_gbps:>8.1f}"
         )

@@ -50,7 +50,7 @@ from repro.config import (
     table5_system,
     unoptimized,
 )
-from repro.sim import SimResult, Simulator, compare_policies, run_policy, simulate
+from repro.sim import SimResult, Simulator, run_policy
 
 __version__ = "1.0.0"
 
@@ -65,14 +65,12 @@ __all__ = [
     "SystemConfig",
     "WorkloadConfig",
     "bma",
-    "compare_policies",
     "config",
     "dynmg",
     "llama3_405b_logit",
     "llama3_70b_logit",
     "registry",
     "run_policy",
-    "simulate",
     "table5_system",
     "unoptimized",
 ]

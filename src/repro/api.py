@@ -15,14 +15,18 @@ declarations.
 
 Quick start::
 
+    from dataclasses import replace
+
     from repro.api import Scenario
     from repro.config.scale import ScaleTier
 
     scenario = Scenario(
         workload="llama3-70b", policy="dynmg+BMA", seq_len=8192, tier=ScaleTier.CI
     )
-    print(scenario.run().summary())
-    print(scenario.compare(["dynmg", "dynmg+BMA"]).table())
+    result = scenario.run()
+    print(result.summary())
+    baseline = replace(scenario, policy="unopt").run()
+    print(f"speedup over unopt: {baseline.cycles / result.cycles:.3f}x")
 
 Anything registered through :mod:`repro.registry` is immediately addressable
 here, from ``llamcat`` and from sweep grids, with zero further edits.
@@ -62,7 +66,6 @@ from repro.serve.knobs import (
 )
 from repro.serve.scenario import ServeScenario
 from repro.sim.results import SimResult
-from repro.sim.runner import PolicyComparison, compare_policies, run_policy
 from repro.sweep.spec import FIG9_POLICY_LABELS, SweepPoint, resolved_point
 
 #: The system name a Scenario uses when none is given.
@@ -196,14 +199,6 @@ class Scenario:
     def display_label(self) -> str:
         return self.label if self.label is not None else self.policy
 
-    @property
-    def requested_seq_len(self) -> int:
-        """The unscaled sequence length (builder default when not overridden)."""
-
-        if self.seq_len is not None:
-            return self.seq_len
-        return resolve_workload(self.workload).shape.seq_len
-
     # -- bridges to the sweep subsystem ------------------------------------------------
     def to_point(
         self,
@@ -258,38 +253,7 @@ class Scenario:
     def run(self) -> SimResult:
         """Simulate this scenario (reusing cached traces) and return the result."""
 
-        resolved = self.resolve()
-        return run_policy(
-            resolved.system,
-            resolved.workload,
-            resolved.policy,
-            label=self.display_label,
-            max_cycles=self.max_cycles,
-            ordering=self.ordering,
-            constraints=self.constraints,
-        )
-
-    def compare(
-        self, policies: Iterable[str], baseline: str = "unopt"
-    ) -> PolicyComparison:
-        """Run several policy labels on this scenario's workload and system.
-
-        Every speedup is normalised against ``baseline`` (run additionally if
-        it is not among ``policies``); ordering and constraints are honoured.
-        """
-
-        resolved = self.resolve()
-        labelled = {baseline: resolve_policy(baseline)}
-        labelled.update({label: resolve_policy(label) for label in policies})
-        return compare_policies(
-            resolved.system,
-            resolved.workload,
-            labelled,
-            baseline_label=baseline,
-            max_cycles=self.max_cycles,
-            ordering=self.ordering,
-            constraints=self.constraints,
-        )
+        return self.to_point().execute()
 
     def describe(self) -> str:
         return self.to_point().describe()

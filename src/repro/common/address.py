@@ -79,12 +79,6 @@ class AddressMap:
         mask = sets_per_slice - 1
         return lambda addr: (addr >> shift) & mask
 
-    def tag_of(self, addr: int, sets_per_slice: int) -> int:
-        """Tag bits (everything above slice + set index)."""
-
-        shift = self._slice_shift + log2_int(sets_per_slice)
-        return (addr >> self._line_shift) >> shift
-
 
 @dataclass(frozen=True, slots=True)
 class DramAddressMap:

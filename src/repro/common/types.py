@@ -70,10 +70,6 @@ class MemRequest:
         return self
 
     @property
-    def is_read(self) -> bool:
-        return self.rw == AccessType.READ
-
-    @property
     def is_write(self) -> bool:
         return self.rw == AccessType.WRITE
 

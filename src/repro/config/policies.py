@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigError
 
@@ -247,13 +247,6 @@ class PolicyConfig:
             mshr_aware=MshrAwareParams(**data.get("mshr_aware", {})),
             cobrra=CobrraParams(**data.get("cobrra", {})),
         ).validate()
-
-    # -- fluent construction helpers used by the experiment harness ----------------
-    def with_arbitration(self, kind: ArbitrationKind) -> "PolicyConfig":
-        return replace(self, arbitration=kind).validate()
-
-    def with_throttle(self, kind: ThrottleKind) -> "PolicyConfig":
-        return replace(self, throttle=kind).validate()
 
     @property
     def label(self) -> str:

@@ -253,9 +253,6 @@ class SystemConfig:
 
         return replace(self, l2=replace(self.l2, size_bytes=size_bytes)).validate()
 
-    def with_cores(self, num_cores: int) -> "SystemConfig":
-        return replace(self, core=replace(self.core, num_cores=num_cores)).validate()
-
     @property
     def dram_cycles_per_core_cycle(self) -> float:
         """Ratio used to convert DRAM-clock timing into core cycles."""

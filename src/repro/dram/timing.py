@@ -59,12 +59,6 @@ class DramTiming:
         )
 
     @property
-    def row_hit_latency(self) -> int:
-        """Core cycles from command issue to last data beat for an open-row access."""
-
-        return self.tOVERHEAD + self.tCL + self.tBURST
-
-    @property
     def row_closed_latency(self) -> int:
         return self.tOVERHEAD + self.tRCD + self.tCL + self.tBURST
 

@@ -366,10 +366,6 @@ class ServeMetrics(RequestAggregates):
 
         return _spans_s(self.requests, "prefill")
 
-    @property
-    def decodes_s(self) -> list[float]:
-        return _spans_s(self.requests, "decode")
-
     # -- formatting --------------------------------------------------------------------
     def headline_metrics(self) -> dict:
         out = {

@@ -16,9 +16,9 @@ exact memo keyed by the ``(batch, context)`` the serving loop passes in, and
 under it a table keyed by ``(batch, seq_bucket)`` that records each shape the
 cycle engine simulated.  Everything else that identifies a step's workload --
 system, policy, ordering, constraints, cycle cap -- is fixed per model, so it
-stays out of both keys.  A repeated lookup costs one dictionary probe; the
-underlying trace is additionally shared through
-:func:`~repro.sim.runner.cached_trace`.
+stays out of both keys.  A repeated lookup costs one dictionary probe; a
+table miss runs the engine through :func:`~repro.sim.runner.run_policy`, so
+the underlying trace is additionally shared through its trace cache.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from repro.config.workload import WorkloadConfig
 from repro.dataflow.constraints import DataflowConstraints
 from repro.dataflow.ordering import ThreadBlockOrdering
 from repro.serve.scheduler import bucket_context
-from repro.sim.runner import cached_trace
-from repro.sim.simulator import simulate
+from repro.sim.runner import run_policy
 
 
 #: Query tile width of the prefill cost mapping: a prefill chunk of T tokens
@@ -200,14 +199,14 @@ class SimStepCostModel(StepCostModel):
         # Wall-clock profiling of table builds only; build_wall_s feeds
         # the debug-log profile and is never serialized into metrics.
         build_start = time.perf_counter()  # repro: noqa[DET002]
-        trace = cached_trace(step_workload, self.system, self.ordering, self.constraints)
-        kwargs = {} if self.max_cycles is None else {"max_cycles": self.max_cycles}
-        result = simulate(
+        result = run_policy(
             self.system,
+            step_workload,
             self.policy,
-            trace=trace,
             label=f"serve-step[b={batch}]",
-            **kwargs,
+            max_cycles=self.max_cycles,
+            ordering=self.ordering,
+            constraints=self.constraints,
         )
         cycles = self._table[key] = result.cycles
         self.simulations += 1

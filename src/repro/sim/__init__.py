@@ -1,22 +1,14 @@
 """Simulation layer: system assembly, cycle engine, statistics and runners."""
 
 from repro.sim.results import SimResult
-from repro.sim.runner import (
-    PolicyComparison,
-    clear_trace_cache,
-    compare_policies,
-    run_policy,
-)
-from repro.sim.simulator import Simulator, simulate
+from repro.sim.runner import clear_trace_cache, run_policy
+from repro.sim.simulator import Simulator
 from repro.sim.system import SimulatedSystem
 
 __all__ = [
-    "PolicyComparison",
     "SimResult",
     "SimulatedSystem",
     "Simulator",
     "clear_trace_cache",
-    "compare_policies",
     "run_policy",
-    "simulate",
 ]

@@ -1,27 +1,26 @@
-"""Experiment runner: policy sweeps, trace caching and speedup comparisons."""
+"""Experiment runner: the trace cache and the one kernel-run entry point."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
-from repro.common.mathutils import geomean
 from repro.config.policies import PolicyConfig
 from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
 from repro.dataflow.constraints import DataflowConstraints
 from repro.dataflow.ordering import ThreadBlockOrdering
 from repro.sim.results import SimResult
-from repro.sim.simulator import simulate
+from repro.sim.simulator import Simulator
 from repro.trace.generator import generate_trace
 from repro.trace.threadblock import Trace
 
 # ---------------------------------------------------------------------------------
 # trace cache: the trace depends only on the workload shape, the line size, the
-# mapper constraints and the dispatch ordering, so it is shared across every
-# policy / cache-size point of an experiment (regenerating it is the most
-# expensive non-simulation step).  Traces for long sequences are large, so the
-# cache is a bounded LRU rather than an ever-growing dict.
+# vector width, the per-MAC compute cost, the mapper constraints and the
+# dispatch ordering, so it is shared across every policy / cache-size point of
+# an experiment (regenerating it is the most expensive non-simulation step).
+# Traces for long sequences are large, so the cache is a bounded LRU rather
+# than an ever-growing dict.
 # ---------------------------------------------------------------------------------
 
 #: Most-recently-used traces kept alive; a full figure sweep touches well under
@@ -48,6 +47,7 @@ def _trace_key(
         s.seq_len,
         system.l2.line_size,
         system.core.vector_lanes,
+        system.core.compute_cycles_per_vector_mac,
         ordering.value,
         constraints,
     )
@@ -95,81 +95,11 @@ def run_policy(
     ordering: ThreadBlockOrdering = ThreadBlockOrdering.GQA_SHARED,
     constraints: DataflowConstraints | None = None,
 ) -> SimResult:
-    """Simulate one (system, workload, policy) point, reusing cached traces."""
+    """Simulate one (system, workload, policy) point, reusing cached traces.
 
-    trace = cached_trace(workload, system, ordering, constraints)
-    kwargs = {}
-    if max_cycles is not None:
-        kwargs["max_cycles"] = max_cycles
-    return simulate(system, policy, trace=trace, label=label, **kwargs)
-
-
-@dataclass(slots=True)
-class PolicyComparison:
-    """Results of several policies on the same workload, with speedups."""
-
-    workload: str
-    baseline_label: str
-    results: dict[str, SimResult] = field(default_factory=dict)
-
-    @property
-    def baseline(self) -> SimResult:
-        return self.results[self.baseline_label]
-
-    def speedup(self, label: str) -> float:
-        """Speedup of ``label`` over the comparison's baseline."""
-
-        return self.results[label].speedup_over(self.baseline)
-
-    def speedups(self) -> dict[str, float]:
-        return {label: self.speedup(label) for label in self.results}
-
-    def relative_speedup(self, label: str, reference: str) -> float:
-        """Speedup of ``label`` relative to another policy (e.g. BMA vs dynmg)."""
-
-        return self.results[reference].cycles / self.results[label].cycles
-
-    def table(self) -> str:
-        lines = [f"{'policy':<16} {'cycles':>10} {'speedup':>8}"]
-        for label, result in self.results.items():
-            lines.append(f"{label:<16} {result.cycles:>10} {self.speedup(label):>8.3f}")
-        return "\n".join(lines)
-
-
-def compare_policies(
-    system: SystemConfig,
-    workload: WorkloadConfig,
-    policies: dict[str, PolicyConfig],
-    baseline_label: str,
-    max_cycles: int | None = None,
-    ordering: ThreadBlockOrdering = ThreadBlockOrdering.GQA_SHARED,
-    constraints: DataflowConstraints | None = None,
-) -> PolicyComparison:
-    """Run every policy on the same workload and collect speedups.
-
-    ``baseline_label`` must be one of the keys of ``policies``; every speedup is
-    normalised against it (the paper normalises against the unoptimized run).
-    ``ordering`` and ``constraints`` apply to every run, so non-default
-    dataflow comparisons compare like with like.
+    The one path from resolved inputs to a :class:`SimResult`: scenarios,
+    sweep points and serving step-cost tables all run the engine through it.
     """
 
-    if baseline_label not in policies:
-        raise KeyError(f"baseline {baseline_label!r} not among policies {list(policies)}")
-    comparison = PolicyComparison(workload=workload.name, baseline_label=baseline_label)
-    for label, policy in policies.items():
-        comparison.results[label] = run_policy(
-            system,
-            workload,
-            policy,
-            label=label,
-            max_cycles=max_cycles,
-            ordering=ordering,
-            constraints=constraints,
-        )
-    return comparison
-
-
-def geomean_speedup(comparisons: list[PolicyComparison], label: str) -> float:
-    """Geometric-mean speedup of ``label`` across several workload points."""
-
-    return geomean([c.speedup(label) for c in comparisons])
+    trace = cached_trace(workload, system, ordering, constraints)
+    return Simulator(system, policy, trace, max_cycles=max_cycles, label=label).run()

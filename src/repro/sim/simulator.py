@@ -1,22 +1,20 @@
-"""Top-level simulation API.
+"""One cycle-level run of a ready-made trace.
 
-:func:`simulate` is the single entry point most users need: give it a system, a
-policy and either a workload (a trace is generated via the dataflow mapper) or
-a ready-made trace, and it returns a :class:`SimResult` with every metric the
-paper reports.
+:class:`Simulator` builds the simulated system for a system, a policy and a
+trace, runs the engine to completion and assembles a :class:`SimResult` with
+every metric the paper reports.  Callers holding a workload rather than a
+trace go through :func:`repro.sim.runner.run_policy`, which generates (or
+reuses) the trace and is the one path from resolved inputs to a result.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigError
 from repro.config.policies import PolicyConfig
 from repro.config.system import SystemConfig
-from repro.config.workload import WorkloadConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES, SimulationEngine
 from repro.sim.liveness import LivenessConfig
 from repro.sim.results import CoreResult, SimResult
 from repro.sim.system import SimulatedSystem
-from repro.trace.generator import generate_trace
 from repro.trace.threadblock import Trace
 
 
@@ -28,18 +26,17 @@ class Simulator:
         system: SystemConfig,
         policy: PolicyConfig,
         trace: Trace,
-        max_cycles: int = DEFAULT_MAX_CYCLES,
+        max_cycles: int | None = None,
         label: str | None = None,
-        workload_name: str | None = None,
         liveness: LivenessConfig | None = None,
     ) -> None:
         self.system_config = system
         self.policy = policy
         self.trace = trace
-        self.max_cycles = max_cycles
+        #: ``None`` means the engine's default guard, DEFAULT_MAX_CYCLES.
+        self.max_cycles = DEFAULT_MAX_CYCLES if max_cycles is None else max_cycles
         self.liveness = liveness
         self.label = label if label is not None else policy.label
-        self.workload_name = workload_name or trace.name
         self.system = SimulatedSystem(system, policy, trace)
 
     def run(self, raise_on_stall: bool = True) -> SimResult:
@@ -75,7 +72,7 @@ class Simulator:
         )
         return SimResult(
             label=self.label,
-            workload=self.workload_name,
+            workload=self.trace.name,
             cycles=cycles,
             frequency_ghz=cfg.frequency_ghz,
             llc=system.llc.stats(cycles),
@@ -96,37 +93,3 @@ class Simulator:
             },
         )
 
-
-def simulate(
-    system: SystemConfig,
-    policy: PolicyConfig,
-    workload: WorkloadConfig | None = None,
-    trace: Trace | None = None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-    label: str | None = None,
-    liveness: LivenessConfig | None = None,
-) -> SimResult:
-    """Run one simulation and return its :class:`SimResult`.
-
-    Exactly one of ``workload`` and ``trace`` must be provided; passing a
-    workload generates the trace through the dataflow mapper (Fig 6 flow).
-    """
-
-    if (workload is None) == (trace is None):
-        raise ConfigError("provide exactly one of `workload` or `trace`")
-    if trace is None:
-        assert workload is not None
-        trace = generate_trace(workload, system)
-        workload_name = workload.name
-    else:
-        workload_name = trace.name
-    sim = Simulator(
-        system,
-        policy,
-        trace,
-        max_cycles=max_cycles,
-        label=label,
-        workload_name=workload_name,
-        liveness=liveness,
-    )
-    return sim.run()

@@ -33,7 +33,6 @@ from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
 from repro.dataflow.constraints import DataflowConstraints
 from repro.dataflow.ordering import ThreadBlockOrdering
-from repro.registry import resolve_workload
 
 if TYPE_CHECKING:  # deferred at runtime: keeps the spec module import-light
     from repro.cluster.metrics import ClusterMetrics
@@ -41,12 +40,6 @@ if TYPE_CHECKING:  # deferred at runtime: keeps the spec module import-light
     from repro.serve.metrics import ServeMetrics
     from repro.serve.scenario import ServeScenario
     from repro.sim.results import SimResult
-
-
-def workload_for(model: str, seq_len: int) -> WorkloadConfig:
-    """Build the registered workload ``model`` at ``seq_len`` (registry lookup)."""
-
-    return resolve_workload(model, seq_len)
 
 
 def config_to_jsonable(obj: Any) -> Any:
@@ -137,17 +130,14 @@ class SweepPoint:
 
         from repro.sim.runner import run_policy  # deferred: keeps spec import light
 
-        kwargs = {}
-        if self.max_cycles is not None:
-            kwargs["max_cycles"] = self.max_cycles
         return run_policy(
             self.system,
             self.workload,
             self.policy,
             label=self.label,
+            max_cycles=self.max_cycles,
             ordering=self.ordering,
             constraints=self.constraints,
-            **kwargs,
         )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import replace
 from typing import ClassVar
 
 import pytest
@@ -63,9 +65,9 @@ class TestScenarioResolution:
         with pytest.raises(ConfigError, match="unknown thread-block ordering"):
             Scenario.from_dict({"workload": "llama3-70b", "ordering": "bogus"})
 
-    def test_requested_seq_len_uses_builder_default(self):
-        assert Scenario(workload="llama3-70b").requested_seq_len == 8192
-        assert Scenario(workload="llama3-70b", seq_len=128).requested_seq_len == 128
+    def test_seq_len_coord_uses_builder_default(self):
+        assert Scenario(workload="llama3-70b").to_point().coord("seq_len") == 8192
+        assert Scenario(workload="llama3-70b", seq_len=128).to_point().coord("seq_len") == 128
 
 
 class TestScenarioRoundTrip:
@@ -200,43 +202,77 @@ class TestScenarioKey:
         assert base.key() != constrained.key()
 
 
-class TestScenarioCompare:
-    def test_compare_includes_baseline(self):
-        scenario = Scenario(workload="llama3-70b", seq_len=256, tier=ScaleTier.SMOKE)
-        comparison = scenario.compare(["dynmg"], baseline="unopt")
-        assert set(comparison.results) == {"unopt", "dynmg"}
-        assert comparison.speedup("unopt") == pytest.approx(1.0)
+class TestScenarioRun:
+    def test_run_matches_run_policy_on_resolved_inputs(self):
+        from repro.sim.runner import run_policy
 
-    def test_compare_forwards_ordering_and_constraints(self, monkeypatch):
-        """Regression: compare_policies used to silently drop ordering/constraints."""
-
-        from repro.sim import runner as runner_module
-
-        captured = []
-
-        def fake_run_policy(system, workload, policy, label=None, max_cycles=None,
-                            ordering=ThreadBlockOrdering.GQA_SHARED, constraints=None):
-            captured.append((label, ordering, constraints))
-
-            class _Result:
-                cycles = 100
-
-                def speedup_over(self, other):
-                    return 1.0
-
-            return _Result()
-
-        monkeypatch.setattr(runner_module, "run_policy", fake_run_policy)
-        constraints = DataflowConstraints(output_lines_per_block=2)
         scenario = Scenario(
-            workload="llama3-70b", seq_len=256, tier=ScaleTier.SMOKE,
-            ordering=ThreadBlockOrdering.SEQUENTIAL, constraints=constraints,
+            workload="llama3-70b", seq_len=256, tier=ScaleTier.SMOKE, policy="dynmg",
+            ordering=ThreadBlockOrdering.SEQUENTIAL,
         )
-        scenario.compare(["dynmg"], baseline="unopt")
-        assert len(captured) == 2
-        for _label, ordering, forwarded in captured:
-            assert ordering is ThreadBlockOrdering.SEQUENTIAL
-            assert forwarded == constraints
+        resolved = scenario.resolve()
+        direct = run_policy(
+            resolved.system, resolved.workload, resolved.policy,
+            label=scenario.display_label, ordering=ThreadBlockOrdering.SEQUENTIAL,
+        )
+        assert scenario.run().to_dict() == direct.to_dict()
+
+    def test_speedup_from_two_runs(self):
+        """The README's comparison: two runs and a cycle ratio."""
+
+        base = Scenario(workload="llama3-70b", seq_len=256, tier=ScaleTier.SMOKE)
+        baseline = base.run()
+        result = replace(base, policy="dynmg").run()
+        assert baseline.label == "unopt" and result.label == "dynmg"
+        assert baseline.speedup_over(baseline) == pytest.approx(1.0)
+        assert result.speedup_over(baseline) == pytest.approx(baseline.cycles / result.cycles)
+
+
+class TestOneKernelRunPath:
+    def test_every_front_door_calls_run_policy_once(
+        self, monkeypatch, tiny_system, tiny_workload, unopt_policy
+    ):
+        """Scenario.run, a sweep point and a step-cost table miss each reach the
+        engine through one run_policy call that forwards ordering, constraints
+        and the cycle cap."""
+
+        from repro.serve import stepcost as stepcost_module
+        from repro.serve.stepcost import SimStepCostModel
+        from repro.sim import runner as runner_module
+        from repro.sweep.executor import run_sweep
+
+        real_run_policy = runner_module.run_policy
+        signature = inspect.signature(real_run_policy)
+        calls = []
+
+        def recording_run_policy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return real_run_policy(*args, **kwargs)
+
+        # Each caller looks the name up in its own module namespace.
+        monkeypatch.setattr(runner_module, "run_policy", recording_run_policy)
+        monkeypatch.setattr(stepcost_module, "run_policy", recording_run_policy)
+        constraints = DataflowConstraints(output_lines_per_block=2)
+        knobs = dict(
+            ordering=ThreadBlockOrdering.SEQUENTIAL, constraints=constraints, max_cycles=10**6
+        )
+        scenario = Scenario(workload="llama3-70b", seq_len=256, tier=ScaleTier.SMOKE, **knobs)
+
+        result = scenario.run()
+        assert len(calls) == 1
+        run_sweep([scenario.to_point()], jobs=1).raise_on_failure()
+        assert len(calls) == 2
+        model = SimStepCostModel(tiny_system, tiny_workload, unopt_policy, **knobs)
+        model.step_cycles(1, 64)
+        assert len(calls) == 3 and model.simulations == 1
+
+        assert result.cycles > 0
+        for call in calls:
+            assert call["ordering"] is ThreadBlockOrdering.SEQUENTIAL
+            assert call["constraints"] == constraints
+            assert call["max_cycles"] == 10**6
 
 
 class TestGridOverPolicyConfig:

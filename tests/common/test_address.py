@@ -46,6 +46,14 @@ class TestAddressMap:
         for addr in (0, 64, 0x1234, 0xDEADBEEF, 1 << 33):
             assert fn(addr) == self.amap.set_index(addr, 512)
 
+    def test_lines_in_same_set_keep_distinct_line_addresses(self):
+        sets = 512
+        a = 0x100000
+        b = a + 64 * 8 * sets  # same slice, same set, different line
+        assert self.amap.slice_of(a) == self.amap.slice_of(b)
+        assert self.amap.set_index(a, sets) == self.amap.set_index(b, sets)
+        assert self.amap.line_addr(a) != self.amap.line_addr(b)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
             AddressMap(line_size=60, num_slices=8)
@@ -53,14 +61,6 @@ class TestAddressMap:
             AddressMap(line_size=64, num_slices=6)
         with pytest.raises(ConfigError):
             self.amap.set_index(0, 500)
-
-    def test_tag_disambiguates_lines_in_same_set(self):
-        sets = 512
-        a = 0x100000
-        b = a + 64 * 8 * sets  # same slice, same set, different tag
-        assert self.amap.slice_of(a) == self.amap.slice_of(b)
-        assert self.amap.set_index(a, sets) == self.amap.set_index(b, sets)
-        assert self.amap.tag_of(a, sets) != self.amap.tag_of(b, sets)
 
 
 class TestDramAddressMap:

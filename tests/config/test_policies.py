@@ -142,12 +142,6 @@ class TestPolicyConfigLabels:
         assert set(THROTTLE_LABELS) == set(ThrottleKind)
         assert set(ARBITRATION_LABELS) == set(ArbitrationKind)
 
-    def test_fluent_builders(self):
-        policy = PolicyConfig().with_throttle(ThrottleKind.DYNMG).with_arbitration(
-            ArbitrationKind.BALANCED_MSHR_AWARE
-        )
-        assert policy.label == "dynmg+BMA"
-
     def test_validate_returns_self(self):
         policy = PolicyConfig()
         assert policy.validate() is policy

@@ -121,9 +121,6 @@ class TestModifiers:
         # The original is unchanged (frozen dataclasses).
         assert SystemConfig().l2.size_bytes == 16 * MIB
 
-    def test_with_cores(self):
-        assert SystemConfig().with_cores(8).core.num_cores == 8
-
     def test_with_l2_size_rejects_invalid(self):
         with pytest.raises(ConfigError):
             SystemConfig().with_l2_size(100)  # not divisible into slices/sets

