@@ -152,7 +152,7 @@ def _run_injected(scenario: Scenario, patience: int) -> LivenessReport:
             llc_slice.arbiter = starved
         engine = SimulationEngine(
             system,
-            max_cycles=scenario.max_cycles or DEFAULT_MAX_CYCLES,
+            max_cycles=DEFAULT_MAX_CYCLES if scenario.max_cycles is None else scenario.max_cycles,
             liveness=LivenessConfig(patience=patience),
         )
         report = engine.run(raise_on_stall=False)

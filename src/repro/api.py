@@ -131,8 +131,8 @@ class Scenario:
         codec=optional_config(lambda data: DataflowConstraints(**data)),
     ))
     max_cycles: int | None = field(default=None, metadata=knob(
-        help="simulated-cycle cap of every point", flags=("--max-cycles",), parse=int,
-        sweep=True,
+        help="simulated-cycle cap of every point", bound=POSITIVE, flags=("--max-cycles",),
+        parse=int, sweep=True,
     ))
     #: Display label (defaults to the policy name); never part of the key.
     label: str | None = field(default=None, metadata=knob())

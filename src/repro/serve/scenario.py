@@ -161,7 +161,7 @@ class ServingScenario:
         help="end-to-end latency objective (ms)", bound=POSITIVE, flags=("--slo-latency-ms",),
         parse=float,
     ))
-    max_cycles: int | None = field(default=None, metadata=knob(sweep=True))
+    max_cycles: int | None = field(default=None, metadata=knob(bound=POSITIVE, sweep=True))
     #: Telemetry sampling cadence; serialized only when set, so pre-telemetry
     #: scenario hashes (and store resume) stay valid.
     telemetry_ms: float | None = field(default=None, metadata=knob(

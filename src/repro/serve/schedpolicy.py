@@ -110,7 +110,15 @@ class SchedulerPolicy:
     name = "scheduler"
 
     def plan(self, running: Sequence[ActiveRequest]) -> StepPlan:
-        """The work of the next iteration (``running`` is in admission order)."""
+        """The work of the next iteration (``running`` is in admission order).
+
+        The plan may depend only on the order of ``running`` and on each
+        request's ``prefill_remaining``: never on generated tokens, the clock
+        or state of the policy's own.  :class:`~repro.serve.simulator.
+        ReplicaSim` relies on it to reuse a decode-only plan without asking
+        the policy again for as long as no request joins, leaves or changes
+        phase.
+        """
 
         raise NotImplementedError
 

@@ -14,10 +14,10 @@ decision (:mod:`repro.serve.schedpolicy`, registered under
 :data:`repro.registry.SCHEDULERS`) -- the scheduler itself only owns admission
 and eviction.
 
-The batch's *effective decode shape* for a step is ``(batch, context)``:
-``batch`` requests, each contributing its own KV cache, at the longest context
-currently in the batch (shorter requests ride along, exactly like padded
-batched decode on real accelerators).
+A step's *effective decode shape* is ``(batch, context)``: ``batch`` decoding
+requests, each contributing its own KV cache, at the longest context among
+them (shorter requests ride along, exactly like padded batched decode on real
+accelerators); :func:`repro.serve.simulator.plan_cycles` prices it.
 """
 
 from __future__ import annotations
@@ -333,14 +333,6 @@ class ContinuousBatchScheduler:
                 self.release_kv(active)
             self.running = [a for a in running if a.generated < a.request.output_tokens]
         return finished
-
-    def batch_shape(self) -> tuple[int, int]:
-        """The effective ``(batch, context_bucket)`` of the next iteration."""
-
-        if not self.running:
-            raise ConfigError("batch_shape() on an empty batch")
-        context = max(a.context_tokens for a in self.running)
-        return len(self.running), bucket_context(context, self.config.seq_bucket_floor)
 
     @property
     def has_work(self) -> bool:

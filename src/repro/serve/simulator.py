@@ -8,7 +8,9 @@ and each step is one cycle-engine evaluation:
    slots (FCFS), funds decode growth under the KV budget (preempting if it
    must), asks the policy for this iteration's mix of prefill chunks and
    decode tokens, prices it with :func:`plan_cycles` and reports the step to
-   every installed :class:`~repro.obs.observer.Observer`;
+   every installed :class:`~repro.obs.observer.Observer`.  While the batch is
+   unchanged since a decode-only step, it skips the policy and reuses that
+   step's plan, priced at the context one token longer;
 2. :meth:`ReplicaSim.finish_step` applies the plan through
    :func:`complete_step` -- prompt chunks shrink ``prefill_remaining``,
    decodes credit one output token -- and evicts the finished requests.
@@ -151,13 +153,12 @@ def plan_cycles(
 ) -> int:
     """Total cycles of one planned iteration: decode shape + prefill chunks.
 
-    The decode half is priced at the batch's effective ``(batch, context)``
-    shape -- the context bucketed exactly as :meth:`ContinuousBatchScheduler.
-    batch_shape` always bucketed it, so a decode-only plan costs bit-for-bit
-    what the legacy loop charged; the prefill half at the chunk-bucketed
-    ``(tokens, context)`` shape.  A mixed iteration pays for both serially --
-    the accelerator is one device; interleaving buys schedule freedom, not
-    free compute.
+    The decode half is priced at the plan's effective ``(batch, context)``
+    shape: the number of decoding requests at their longest context, rounded
+    up by :func:`bucket_context`.  The prefill half is priced at the
+    chunk-bucketed ``(tokens, context)`` shape.  A mixed iteration pays for
+    both serially -- the accelerator is one device; interleaving buys
+    schedule freedom, not free compute.
     """
 
     cycles = 0
@@ -273,6 +274,10 @@ class ReplicaSim:
         self.step_end_s: float | None = None
         #: The in-flight step's plan (set exactly while ``step_end_s`` is).
         self._plan: StepPlan | None = None
+        #: The last decode-only plan, carried into the next step while its
+        #: batch is unchanged (see :meth:`maybe_start_step`); None when the
+        #: next step must re-plan.
+        self._carry: StepPlan | None = None
         #: Prefill-complete requests awaiting pickup by the loop.
         self._ready_handoffs: list[ActiveRequest] = []
         self.steps = 0
@@ -342,19 +347,28 @@ class ReplicaSim:
         batch is empty).  Zero-cost plans (free prefill) are applied instantly
         without consuming a step; the replica then re-plans against the
         updated batch.
+
+        A decode-only step that evicted nothing leaves the batch as it was,
+        except that every decoder grew by one token.  Unless admission or KV
+        growth changes the batch, the next step reuses its plan (a plan is a
+        pure function of the batch; see :meth:`SchedulerPolicy.plan`) and
+        prices it with :func:`plan_cycles` at the grown context.
         """
 
         if self.step_end_s is not None:
             return False
         scheduler = self.scheduler
         while True:
-            scheduler.admit(now_s)
+            admitted = scheduler.admit(now_s)
             if not scheduler.running:
                 for observer in self.observers:
                     observer.on_idle(self, now_s)
                 return False
             preempted = scheduler.ensure_kv_growth(now_s)
-            plan = self.policy.plan(scheduler.running)
+            plan = self._carry
+            if plan is None or admitted or preempted:
+                self._carry = None
+                plan = self.policy.plan(scheduler.running)
             cycles = plan_cycles(self.cost_model, plan, scheduler.config.seq_bucket_floor)
             if cycles < 0:
                 raise ConfigError(f"step cost model returned {cycles} cycles")
@@ -396,10 +410,13 @@ class ReplicaSim:
         :meth:`take_handoffs`.
         """
 
-        assert self.step_end_s is not None and self._plan is not None
-        finished = complete_step(self.scheduler, self._plan, self.step_end_s)
+        plan = self._plan
+        assert self.step_end_s is not None and plan is not None
+        finished = complete_step(self.scheduler, plan, self.step_end_s)
         self.step_end_s = None
         self._plan = None
+        # Carry the plan unless the batch it was planned from changed.
+        self._carry = None if plan.prefill or finished or self.role == "prefill" else plan
         for _, record in finished:
             self.completed.append(record)
         if self.role == "prefill":

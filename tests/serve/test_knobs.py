@@ -71,6 +71,9 @@ def test_non_finite_float_rejected_naming_the_field(cls, name, value):
         (ClusterScenario, "kv_transfer_ms", -0.5, "kv_transfer_ms must be non-negative"),
         (Scenario, "seq_len", 0, "seq_len must be positive, got 0"),
         (Scenario, "l2_mib", -1, "l2_mib must be positive, got -1"),
+        (Scenario, "max_cycles", 0, "max_cycles must be positive, got 0"),
+        (ServeScenario, "max_cycles", 0, "max_cycles must be positive, got 0"),
+        (ClusterScenario, "max_cycles", 0, "max_cycles must be positive, got 0"),
     ],
 )
 def test_declared_ranges_are_checked(cls, name, value, match):

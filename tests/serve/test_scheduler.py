@@ -1,4 +1,4 @@
-"""Continuous-batching scheduler: admission, eviction, effective batch shape."""
+"""Continuous-batching scheduler: admission, eviction, effective decode shape."""
 
 import pytest
 
@@ -12,7 +12,8 @@ from repro.serve.scheduler import (
     HandoffRequest,
     bucket_context,
 )
-from repro.serve.simulator import complete_step
+from repro.serve.simulator import complete_step, plan_cycles
+from repro.serve.stepcost import StepCostModel
 
 
 def request(rid: int, arrival: float = 0.0, prompt: int = 100, output: int = 4) -> Request:
@@ -149,28 +150,46 @@ class TestEviction:
         assert [a.request.request_id for a in scheduler.running] == [1]
 
 
-class TestBatchShape:
+class ShapeRecorder(StepCostModel):
+    """Records every decode shape it is asked to price."""
+
+    def __init__(self) -> None:
+        self.shapes: list[tuple[int, int]] = []
+
+    def step_cycles(self, batch: int, context_tokens: int) -> int:
+        self.shapes.append((batch, context_tokens))
+        return 1
+
+
+class TestDecodeShape:
+    """A decode plan is priced at ``(len(decode), bucketed longest context)``."""
+
     def test_context_is_the_batch_maximum(self):
         scheduler = make_scheduler()
         scheduler.enqueue(request(0, prompt=100))
         scheduler.enqueue(request(1, prompt=500))
         scheduler.admit(0.0)
         scheduler.running[0].generated = 3
-        batch, bucket = scheduler.batch_shape()
-        assert batch == 2
-        assert bucket == bucket_context(500)        # 512
+        plan = StepPlan(decode=tuple(scheduler.running)).validate()
+        assert plan.decode_context() == 500
+        model = ShapeRecorder()
+        assert plan_cycles(model, plan) == 1
+        assert model.shapes == [(2, bucket_context(500))]       # 512
 
     def test_context_grows_with_generation(self):
         scheduler = make_scheduler()
         scheduler.enqueue(request(0, prompt=128, output=8))
         scheduler.admit(0.0)
-        assert scheduler.batch_shape() == (1, 128)
+        plan = StepPlan(decode=tuple(scheduler.running)).validate()
+        model = ShapeRecorder()
+        plan_cycles(model, plan)
         scheduler.running[0].generated = 1
-        assert scheduler.batch_shape() == (1, 256)  # 129 -> next power of two
+        plan_cycles(model, plan)
+        assert model.shapes == [(1, 128), (1, 256)]  # 129 -> next power of two
 
-    def test_empty_batch_rejected(self):
+    def test_empty_plan_rejected(self):
         with pytest.raises(ConfigError):
-            make_scheduler().batch_shape()
+            StepPlan().validate()
 
 
 class TestBatchConfig:
