@@ -2,18 +2,24 @@
 
 All stochastic behaviour in the library (synthetic traces, tie-breaking in
 tests) flows through :func:`make_rng` so a single seed reproduces a run
-bit-for-bit.
+bit-for-bit.  NumPy is imported inside :func:`make_rng`, so a run that never
+samples (every kernel simulation) never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 0xC0FFEE
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:
     """Return a NumPy generator seeded deterministically."""
+
+    import numpy as np
 
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
 

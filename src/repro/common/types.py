@@ -87,12 +87,14 @@ class MemResponse:
     served_by: str = "l2"   # "l1" | "l2" | "mshr" | "dram" -- statistics only
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """One element of a per-thread-block memory trace.
 
     ``compute_cycles`` are spent before the memory access is issued; an entry
     with ``addr < 0`` is a pure-compute bubble (no memory access at all).
+    Frozen: the trace generator shares one entry between every thread block
+    that streams the same KV row.
     """
 
     compute_cycles: int

@@ -25,6 +25,14 @@ DEFAULT_PROMPT_TOKENS = (128, 1024)
 DEFAULT_OUTPUT_TOKENS = (16, 64)
 
 
+def check_token_range(name: str, tokens: tuple[int, int]) -> None:
+    """Raise a ConfigError unless ``tokens`` is a ``(min, max)`` with 0 < min <= max."""
+
+    lo, hi = tokens
+    if lo <= 0 or hi < lo:
+        raise ConfigError(f"{name} range must satisfy 0 < min <= max, got ({lo}, {hi})")
+
+
 @dataclass(frozen=True, slots=True)
 class Request:
     """One prefill-then-decode request of a serving stream."""
@@ -62,11 +70,8 @@ class RequestSampler:
         prompt_tokens: tuple[int, int] = DEFAULT_PROMPT_TOKENS,
         output_tokens: tuple[int, int] = DEFAULT_OUTPUT_TOKENS,
     ) -> None:
-        for name, (lo, hi) in (("prompt_tokens", prompt_tokens), ("output_tokens", output_tokens)):
-            if lo <= 0 or hi < lo:
-                raise ConfigError(
-                    f"{name} range must satisfy 0 < min <= max, got ({lo}, {hi})"
-                )
+        check_token_range("prompt_tokens", prompt_tokens)
+        check_token_range("output_tokens", output_tokens)
         self.seed = int(seed)
         self.prompt_tokens = (int(prompt_tokens[0]), int(prompt_tokens[1]))
         self.output_tokens = (int(output_tokens[0]), int(output_tokens[1]))

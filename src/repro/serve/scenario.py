@@ -49,6 +49,7 @@ from repro.serve.request import (
     DEFAULT_OUTPUT_TOKENS,
     DEFAULT_PROMPT_TOKENS,
     RequestSampler,
+    check_token_range,
 )
 from repro.serve.schedpolicy import DEFAULT_PREFILL_CHUNK
 from repro.serve.scheduler import SEQ_BUCKET_FLOOR, BatchConfig
@@ -197,6 +198,8 @@ class ServingScenario:
     # -- validation --------------------------------------------------------------------
     def validate(self) -> Self:
         check_ranges(self)
+        check_token_range("prompt_tokens", self.prompt_tokens)
+        check_token_range("output_tokens", self.output_tokens)
         if not isinstance(self.tier, ScaleTier):
             raise ConfigError(f"tier must be a ScaleTier, got {self.tier!r}")
         self.cross_check()

@@ -31,7 +31,8 @@ class EngineReport:
     finish_checks: int
     status: TerminationStatus = TerminationStatus.COMPLETED
     #: Component-level stall snapshot; set only when ``status`` is not
-    #: ``completed`` and the engine ran with ``raise_on_stall=False``.
+    #: ``completed`` and the engine ran with ``raise_on_stall=False`` (with
+    #: ``True``, the raised error carries it as ``report``).
     stall_report: StallReport | None = None
 
 
@@ -82,25 +83,27 @@ class SimulationEngine:
                         finished=False,
                         finish_checks=finish_checks,
                         status=TerminationStatus.LIVELOCK,
-                        stall_report=getattr(exc, "report", None),
+                        stall_report=exc.report,
                     )
         if system.finished():
             return EngineReport(cycles=cycle + 1, finished=True, finish_checks=finish_checks)
-        if not raise_on_stall:
-            return EngineReport(
-                cycles=cycle + 1,
-                finished=False,
-                finish_checks=finish_checks,
-                status=TerminationStatus.MAX_CYCLES,
-                stall_report=build_stall_report(
-                    system,
-                    cycle=cycle,
-                    first_stuck_cycle=watchdog.last_progress_cycle,
-                    patience=self.liveness.patience,
-                ),
+        report = build_stall_report(
+            system,
+            cycle=cycle,
+            first_stuck_cycle=watchdog.last_progress_cycle,
+            patience=self.liveness.patience,
+        )
+        if raise_on_stall:
+            raise SimulationError(
+                f"simulation did not complete within {self.max_cycles} cycles: "
+                f"{system.scheduler.completed}/{system.scheduler.total_blocks} thread blocks done, "
+                f"{sum(c.outstanding_requests for c in system.cores)} requests outstanding",
+                report=report,
             )
-        raise SimulationError(
-            f"simulation did not complete within {self.max_cycles} cycles: "
-            f"{system.scheduler.completed}/{system.scheduler.total_blocks} thread blocks done, "
-            f"{sum(c.outstanding_requests for c in system.cores)} requests outstanding"
+        return EngineReport(
+            cycles=cycle + 1,
+            finished=False,
+            finish_checks=finish_checks,
+            status=TerminationStatus.MAX_CYCLES,
+            stall_report=report,
         )

@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -251,6 +250,10 @@ def run_sweep(
         for point, indices in pending:
             record(point, indices, _execute_point(point))
     else:
+        # Imported here: the pool pulls in multiprocessing, pickle and socket,
+        # which a serial sweep never needs.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             futures = {
                 pool.submit(_execute_point, point): (point, indices)

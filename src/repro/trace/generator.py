@@ -78,6 +78,10 @@ def unroll_mapping(
 
     inner_extent = operator.output_extent()
 
+    # Every block of a head streams the same KV rows, so each (head, row, MAC
+    # cost) gets its entries built once and the blocks share those frozen
+    # objects.
+    kv_rows: dict[tuple[int, int, int], list[TraceEntry]] = {}
     blocks: list[ThreadBlock] = []
     tb_id = 0
     for h, g, tile in mapping.thread_block_coords():
@@ -105,38 +109,31 @@ def unroll_mapping(
         # -- KV rows + compute ------------------------------------------------------
         if operator.reduction_axis == "d":
             # Logit: one K row per output element of the tile.
-            for l in range(inner_start, inner_stop):
-                row_base = operator.kv_row_address(h, l)
-                for i in range(kv_lines_per_row):
-                    # Attach the MAC cost to the first line of the row; the
-                    # remaining line loads of the same coalesced vector access
-                    # issue back-to-back.
-                    compute = mac_cycles * vector_steps if i == 0 else 0
-                    entries.append(
-                        TraceEntry(
-                            compute_cycles=compute,
-                            addr=row_base + i * line,
-                            rw=AccessType.READ,
-                            size=min(line, kv_row_bytes - i * line),
-                            kind=RequestKind.KV,
-                        )
-                    )
+            rows = range(inner_start, inner_stop)
+            compute = mac_cycles * vector_steps
         else:
             # Attend: the reduction runs over l, so the block streams all L rows of V
             # while producing `inner_tile` output elements.
-            for l in range(space.l):
+            rows = range(space.l)
+            compute = mac_cycles * (inner_stop - inner_start)
+        for l in rows:
+            key = (h, l, compute)
+            row = kv_rows.get(key)
+            if row is None:
                 row_base = operator.kv_row_address(h, l)
-                for i in range(kv_lines_per_row):
-                    compute = mac_cycles * (inner_stop - inner_start) if i == 0 else 0
-                    entries.append(
-                        TraceEntry(
-                            compute_cycles=compute,
-                            addr=row_base + i * line,
-                            rw=AccessType.READ,
-                            size=min(line, kv_row_bytes - i * line),
-                            kind=RequestKind.KV,
-                        )
+                # The MAC cost rides on the first line of the row; the remaining
+                # line loads of the same coalesced vector access issue back-to-back.
+                row = kv_rows[key] = [
+                    TraceEntry(
+                        compute_cycles=compute if i == 0 else 0,
+                        addr=row_base + i * line,
+                        rw=AccessType.READ,
+                        size=min(line, kv_row_bytes - i * line),
+                        kind=RequestKind.KV,
                     )
+                    for i in range(kv_lines_per_row)
+                ]
+            entries.extend(row)
 
         # -- output writes ------------------------------------------------------------
         out_bytes = (inner_stop - inner_start) * element_bytes
@@ -159,3 +156,4 @@ def unroll_mapping(
         tb_id += 1
 
     return Trace(blocks=blocks, name=name, line_size=line).validate()
+

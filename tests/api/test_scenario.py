@@ -9,7 +9,7 @@ from typing import ClassVar
 import pytest
 
 from repro.api import Scenario
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
 from repro.config.policies import MultiGearParams, PolicyConfig, ThrottleKind
 from repro.config.presets import llama3_70b_logit, table5_system_with_l2
 from repro.config.scale import ScaleTier, scale_experiment
@@ -226,6 +226,14 @@ class TestScenarioRun:
         assert baseline.label == "unopt" and result.label == "dynmg"
         assert baseline.speedup_over(baseline) == pytest.approx(1.0)
         assert result.speedup_over(baseline) == pytest.approx(baseline.cycles / result.cycles)
+
+    def test_cycle_cap_error_carries_a_stall_report(self):
+        scenario = Scenario(workload="llama3-70b", seq_len=256, tier=ScaleTier.SMOKE, max_cycles=1)
+        with pytest.raises(SimulationError, match="did not complete within 1 cycles") as excinfo:
+            scenario.run()
+        report = excinfo.value.report
+        assert report is not None and report.cycle == 0
+        assert report.blocks_completed < report.blocks_total
 
 
 class TestOneKernelRunPath:

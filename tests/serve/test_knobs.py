@@ -74,6 +74,10 @@ def test_non_finite_float_rejected_naming_the_field(cls, name, value):
         (Scenario, "max_cycles", 0, "max_cycles must be positive, got 0"),
         (ServeScenario, "max_cycles", 0, "max_cycles must be positive, got 0"),
         (ClusterScenario, "max_cycles", 0, "max_cycles must be positive, got 0"),
+        (ServeScenario, "prompt_tokens", (0, 0), r"prompt_tokens range .* got \(0, 0\)"),
+        (ServeScenario, "output_tokens", (8, 4), r"output_tokens range .* got \(8, 4\)"),
+        (ClusterScenario, "prompt_tokens", (-1, 4), r"prompt_tokens range .* got \(-1, 4\)"),
+        (ClusterScenario, "output_tokens", (0, 16), r"output_tokens range .* got \(0, 16\)"),
     ],
 )
 def test_declared_ranges_are_checked(cls, name, value, match):

@@ -147,6 +147,24 @@ class TestEngineLiveness:
         assert report.stall_report is not None
         assert report.cycles < SimulationEngine(system).max_cycles
 
+    def test_cycle_cap_error_carries_the_max_cycles_stall_report(
+        self, tiny_system, cobrra_policy, tiny_workload
+    ):
+        def capped_engine() -> SimulationEngine:
+            trace = generate_trace(tiny_workload, tiny_system)
+            system = SimulatedSystem(tiny_system, cobrra_policy, trace)
+            return SimulationEngine(system, max_cycles=200)
+
+        with pytest.raises(SimulationError, match="did not complete within 200 cycles") as excinfo:
+            capped_engine().run()
+        assert not isinstance(excinfo.value, LivelockError)
+        report = capped_engine().run(raise_on_stall=False)
+        assert report.status is TerminationStatus.MAX_CYCLES
+        # The raised error carries the very snapshot the non-raising path returns.
+        assert isinstance(excinfo.value.report, StallReport)
+        assert excinfo.value.report == report.stall_report
+        assert excinfo.value.report.cycle == 199
+
     def test_fixed_arbiter_completes_with_completed_status(
         self, tiny_system, cobrra_policy, tiny_workload
     ):
